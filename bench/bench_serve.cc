@@ -2,8 +2,8 @@
 // prediction over synthetic corpus tables at increasing worker counts
 // (tables/s, columns/s, speedup over the single-thread run), plus an
 // online mode that drives the PredictionService with closed-loop
-// simulated clients and reports request latency percentiles, the achieved
-// micro-batch sizes, and the rejected-request count.
+// simulated clients and reports request latency percentiles and the
+// rejected-request count.
 //
 // The model is architecture-complete but untrained (training changes the
 // weights, not the FLOPs), so the numbers isolate the featurise +
@@ -154,12 +154,10 @@ PhaseBreakdown MeasurePhases(const SatoModel& model, const BenchEnv& env,
 struct OnlineResult {
   size_t clients;
   size_t workers;
-  size_t max_batch_size;
-  uint64_t max_queue_delay_us;
   size_t requests;
   double seconds;
   double tables_per_sec;
-  serve::ServiceStats stats;  // latency percentiles, histogram, rejects
+  serve::ServiceStats stats;  // latency percentiles, rejects
 };
 
 OnlineResult MeasureOnline(const SatoModel& model, const BenchEnv& env,
@@ -168,8 +166,6 @@ OnlineResult MeasureOnline(const SatoModel& model, const BenchEnv& env,
                            size_t workers, int trials) {
   serve::PredictionServiceOptions options;
   options.num_threads = workers;
-  options.max_batch_size = 8;
-  options.max_queue_delay_nanos = 200'000;  // 200 us flush deadline
   options.queue_capacity = 1024;
   serve::PredictionService service(model, &env.context, scaler, options);
 
@@ -197,8 +193,6 @@ OnlineResult MeasureOnline(const SatoModel& model, const BenchEnv& env,
   OnlineResult result;
   result.clients = clients;
   result.workers = workers;
-  result.max_batch_size = options.max_batch_size;
-  result.max_queue_delay_us = options.max_queue_delay_nanos / 1000;
   result.requests = tables.size() * static_cast<size_t>(trials);
   result.seconds = seconds;
   result.tables_per_sec = static_cast<double>(result.requests) / seconds;
@@ -222,7 +216,7 @@ struct SwapResult {
   double seconds;
   double tables_per_sec;
   uint64_t versions_published;
-  uint64_t swaps_observed;     // micro-batches that picked up a new version
+  uint64_t swaps_observed;     // requests that first pinned a new version
   uint64_t straddled;          // responses on a version != submit-time one
   double publish_p50_us;
   double publish_max_us;
@@ -238,8 +232,6 @@ SwapResult MeasureSwap(const SatoModel& model, const BenchEnv& env,
 
   serve::PredictionServiceOptions options;
   options.num_threads = workers;
-  options.max_batch_size = 8;
-  options.max_queue_delay_nanos = 200'000;
   options.queue_capacity = 1024;
   serve::PredictionService service(&registry, options);
 
@@ -347,8 +339,6 @@ CacheReplayResult MeasureCacheReplay(const SatoModel& model,
     registry.PublishBorrowed(model, &env.context, scaler, "replay");
     serve::PredictionServiceOptions options;
     options.num_threads = workers;
-    options.max_batch_size = 8;
-    options.max_queue_delay_nanos = 200'000;
     options.queue_capacity = 1024;
     options.result_cache = cache;
     serve::PredictionService service(&registry, options);
@@ -433,8 +423,6 @@ DaemonResult MeasureDaemon(const SatoModel& model, const BenchEnv& env,
   serve::ResultCache cache(cache_options);
   serve::PredictionServiceOptions options;
   options.num_threads = workers;
-  options.max_batch_size = 8;
-  options.max_queue_delay_nanos = 200'000;
   options.result_cache = &cache;
   serve::PredictionService service(&registry, options);
   serve::Server server(&service, serve::ServerOptions{});
@@ -526,8 +514,6 @@ ResilienceResult MeasureResilience(const SatoModel& model, const BenchEnv& env,
     serve::ResultCache cache(cache_options);
     serve::PredictionServiceOptions options;
     options.num_threads = workers;
-    options.max_batch_size = 8;
-    options.max_queue_delay_nanos = 200'000;
     options.result_cache = &cache;
     options.fault_injector = injector;
     serve::PredictionService service(&registry, options);
@@ -698,31 +684,19 @@ void WriteJson(const char* path, const BenchEnv& env,
     WritePhaseEntry(f, *int8_phases, true);
     std::fprintf(f, "  ],\n");
   }
-  // Online serving datapoint: latency percentiles (ms), the achieved
-  // micro-batch size histogram (index s = batches of size s+1), and the
+  // Online serving datapoint: latency percentiles (ms) and the
   // rejected-request count from the closed-loop client run.
   std::fprintf(f,
                "  \"online\": {\"clients\": %zu, \"worker_threads\": %zu, "
-               "\"max_batch_size\": %zu, \"max_queue_delay_us\": %llu, "
-               "\"requests\": %zu, \"rejected\": %llu, \"batches\": %llu,\n",
-               online.clients, online.workers, online.max_batch_size,
-               static_cast<unsigned long long>(online.max_queue_delay_us),
-               online.requests,
-               static_cast<unsigned long long>(online.stats.rejected),
-               static_cast<unsigned long long>(online.stats.batches));
+               "\"requests\": %zu, \"rejected\": %llu,\n",
+               online.clients, online.workers, online.requests,
+               static_cast<unsigned long long>(online.stats.rejected));
   std::fprintf(f,
                "    \"latency_ms\": {\"p50\": %.4f, \"p95\": %.4f, "
                "\"p99\": %.4f},\n",
                static_cast<double>(online.stats.latency_p50_nanos) / 1e6,
                static_cast<double>(online.stats.latency_p95_nanos) / 1e6,
                static_cast<double>(online.stats.latency_p99_nanos) / 1e6);
-  std::fprintf(f, "    \"batch_size_histogram\": [");
-  for (size_t s = 1; s < online.stats.batch_size_histogram.size(); ++s) {
-    std::fprintf(f, "%s%llu", s == 1 ? "" : ", ",
-                 static_cast<unsigned long long>(
-                     online.stats.batch_size_histogram[s]));
-  }
-  std::fprintf(f, "],\n");
   std::fprintf(f, "    \"tables_per_sec\": %.2f},\n", online.tables_per_sec);
   // Hot-swap datapoint: registry publish latency, responses that straddled
   // a swap (in flight across a Publish), and the p99 delta against the
@@ -926,25 +900,13 @@ int Run(const BenchFlags& flags) {
       std::max<size_t>(1, std::thread::hardware_concurrency());
   OnlineResult online = MeasureOnline(model, env, scaler, tables,
                                       /*clients=*/4, online_workers, trials);
-  std::printf("online (%zu clients, %zu workers, batch<=%zu, deadline "
-              "%lluus): %.1f tables/sec, p50 %.3fms p95 %.3fms p99 %.3fms, "
-              "%llu rejected\n",
-              online.clients, online.workers, online.max_batch_size,
-              static_cast<unsigned long long>(online.max_queue_delay_us),
-              online.tables_per_sec,
+  std::printf("online (%zu clients, %zu workers): %.1f tables/sec, p50 "
+              "%.3fms p95 %.3fms p99 %.3fms, %llu rejected\n",
+              online.clients, online.workers, online.tables_per_sec,
               static_cast<double>(online.stats.latency_p50_nanos) / 1e6,
               static_cast<double>(online.stats.latency_p95_nanos) / 1e6,
               static_cast<double>(online.stats.latency_p99_nanos) / 1e6,
               static_cast<unsigned long long>(online.stats.rejected));
-  std::printf("online batch sizes:");
-  for (size_t s = 1; s < online.stats.batch_size_histogram.size(); ++s) {
-    if (online.stats.batch_size_histogram[s] == 0) continue;
-    std::printf(" %zux%llu", s,
-                static_cast<unsigned long long>(
-                    online.stats.batch_size_histogram[s]));
-  }
-  std::printf("  (%llu batches)\n",
-              static_cast<unsigned long long>(online.stats.batches));
 
   // Hot-swap mode: same closed loop, publishing a new version roughly
   // eight times per pass over the corpus.

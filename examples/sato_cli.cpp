@@ -25,14 +25,12 @@
 // on fp64. See eval::RunInt8AccuracyGate.
 //
 // `serve-sim` accepts --jobs N (prediction workers), --clients C
-// (concurrent closed-loop clients), --batch B (max micro-batch size),
-// --delay-us D (micro-batch flush deadline), --capacity Q (admission
-// bound) and --swap-every N (publish a new model version to the registry
-// every N submissions, exercising the RCU hot-swap path under live
-// traffic). It reports latency percentiles, the achieved batch-size
-// histogram and the per-version served counts, then audits every response
-// against a sequential SatoPredictor run on its reported model version --
-// the online determinism contract, per version.
+// (concurrent closed-loop clients), --capacity Q (admission bound) and
+// --swap-every N (publish a new model version to the registry every N
+// submissions, exercising the RCU hot-swap path under live traffic). It
+// reports latency percentiles and the per-version served counts, then
+// audits every response against a sequential SatoPredictor run on its
+// reported model version -- the online determinism contract, per version.
 
 #include <atomic>
 #include <cstdio>
@@ -72,8 +70,7 @@ int Usage() {
                "  sato_cli eval <bundle> [--tables N] [--seed S] [--jobs N]\n"
                "                 [--int8] [--int8-epsilon E]\n"
                "  sato_cli serve-sim <bundle> [--tables N] [--seed S] [--jobs N]\n"
-               "                 [--clients C] [--batch B] [--delay-us D]\n"
-               "                 [--capacity Q] [--swap-every N]\n"
+               "                 [--clients C] [--capacity Q] [--swap-every N]\n"
                "                 [--int8] [--int8-epsilon E]\n"
                "  sato_cli types\n");
   return 2;
@@ -86,8 +83,6 @@ struct Flags {
   uint64_t seed = 7;
   int jobs = 1;
   int clients = 4;        // serve-sim: concurrent closed-loop clients
-  int batch = 8;          // serve-sim: max micro-batch size
-  int delay_us = 500;     // serve-sim: micro-batch flush deadline
   int capacity = 1024;    // serve-sim: bounded admission queue
   int swap_every = 0;     // serve-sim: publish a new version every N submits
   bool int8 = false;      // request the quantized GEMM path (gated)
@@ -131,16 +126,6 @@ bool ParseFlags(int argc, char** argv, int start, Flags* flags,
       if (v == nullptr) return false;
       flags->clients = std::atoi(v);
       if (flags->clients < 1) return false;
-    } else if (arg == "--batch") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      flags->batch = std::atoi(v);
-      if (flags->batch < 1) return false;
-    } else if (arg == "--delay-us") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      flags->delay_us = std::atoi(v);
-      if (flags->delay_us < 0) return false;
     } else if (arg == "--capacity") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -408,8 +393,8 @@ int CmdEval(const std::string& bundle_path, const Flags& flags) {
 // publishes a new registry version (same weights, new version id), so the
 // hot-swap path runs under the live load. Afterwards every response is
 // audited against a sequential SatoPredictor run with the same per-request
-// seed on its reported model version -- the determinism-under-batching
-// contract, per version, end to end on a real clock.
+// seed on its reported model version -- the determinism contract, per
+// version, end to end on a real clock.
 int CmdServeSim(const std::string& bundle_path, const Flags& flags) {
   LoadedSato sato = LoadBundleOrDie(bundle_path);
   corpus::CorpusOptions copts;
@@ -428,9 +413,6 @@ int CmdServeSim(const std::string& bundle_path, const Flags& flags) {
 
   serve::PredictionServiceOptions options;
   options.num_threads = static_cast<size_t>(flags.jobs);
-  options.max_batch_size = static_cast<size_t>(flags.batch);
-  options.max_queue_delay_nanos =
-      static_cast<uint64_t>(flags.delay_us) * 1000ULL;
   options.queue_capacity = static_cast<size_t>(flags.capacity);
   serve::PredictionService service(&registry, options);
 
@@ -488,10 +470,10 @@ int CmdServeSim(const std::string& bundle_path, const Flags& flags) {
     }
   }
 
-  std::printf("serve-sim: %zu tables, %zu clients, %d workers, batch<=%d, "
-              "deadline %dus, capacity %d, swap-every %d\n",
-              tables.size(), num_clients, flags.jobs, flags.batch,
-              flags.delay_us, flags.capacity, flags.swap_every);
+  std::printf("serve-sim: %zu tables, %zu clients, %d workers, "
+              "capacity %d, swap-every %d\n",
+              tables.size(), num_clients, flags.jobs, flags.capacity,
+              flags.swap_every);
   std::printf("  completed %llu (ok %zu), rejected %llu, throughput %.1f "
               "tables/sec\n",
               static_cast<unsigned long long>(stats.completed), ok,
@@ -511,14 +493,6 @@ int CmdServeSim(const std::string& bundle_path, const Flags& flags) {
               static_cast<double>(stats.latency_p50_nanos) / 1e6,
               static_cast<double>(stats.latency_p95_nanos) / 1e6,
               static_cast<double>(stats.latency_p99_nanos) / 1e6);
-  std::printf("  batch sizes:");
-  for (size_t s = 1; s < stats.batch_size_histogram.size(); ++s) {
-    if (stats.batch_size_histogram[s] == 0) continue;
-    std::printf(" %zux%llu", s,
-                static_cast<unsigned long long>(stats.batch_size_histogram[s]));
-  }
-  std::printf("  (%llu batches)\n",
-              static_cast<unsigned long long>(stats.batches));
   if (mismatches != 0 || bad_versions != 0) {
     std::printf("  determinism check FAILED: %zu/%zu responses differ from "
                 "the sequential predictor, %zu report unpublished versions\n",

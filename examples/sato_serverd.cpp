@@ -1,8 +1,9 @@
 // sato_serverd: the network serving daemon. Binds a TCP listener speaking
 // the length-prefixed wire protocol (serve/wire.h), serves predictions
 // from a hot-swappable ModelRegistry through the shared PredictionService
-// micro-batcher, and fronts inference with the content-addressed result
-// cache so repeated tables answer without touching a model.
+// (each request dispatched to a worker as soon as it is admitted), and
+// fronts inference with the content-addressed result cache so repeated
+// tables answer without touching a model.
 //
 //   sato_serverd --demo [--port 7807]        # synthetic bundle, serve
 //   sato_serverd path/to/bundle.sato         # serve a trained bundle
@@ -57,7 +58,6 @@ struct Flags {
   size_t cache_entries = 4096;  // 0 disables the result cache
   size_t cache_shards = 8;
   size_t workers = 2;
-  size_t batch = 16;
   uint64_t seed = 71;
   std::string wal_path;  // empty = corrections stay in memory only
   bool wal_fsync = true;
@@ -74,7 +74,8 @@ int Usage(const char* argv0) {
       "  --cache-entries N    result cache capacity, 0 disables (4096)\n"
       "  --cache-shards N     result cache shards (default 8)\n"
       "  --workers N          prediction worker threads (default 2)\n"
-      "  --batch N            max micro-batch size (default 16)\n"
+      "  --batch N            ignored; accepted so existing launch scripts\n"
+      "                       still start\n"
       "  --seed N             corpus/model seed for --demo (default 71)\n"
       "  --wal PATH           correction write-ahead log (replayed on boot)\n"
       "  --wal-no-fsync       skip fsync per WAL append (best effort)\n"
@@ -113,7 +114,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--workers" && next(&v)) {
       flags->workers = v;
     } else if (arg == "--batch" && next(&v)) {
-      flags->batch = v;
+      // Ignored: requests dispatch on Submit, there is no batch to size.
     } else if (arg == "--seed" && next(&v)) {
       flags->seed = v;
     } else if (arg == "--wal" && i + 1 < argc) {
@@ -358,7 +359,6 @@ int Main(int argc, char** argv) {
 
   serve::PredictionServiceOptions sopts;
   sopts.num_threads = flags.workers;
-  sopts.max_batch_size = flags.batch;
   sopts.result_cache = cache.get();
   serve::PredictionService service(&registry, sopts);
 

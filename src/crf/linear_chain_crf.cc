@@ -7,7 +7,12 @@
 #include <stdexcept>
 
 #include "nn/serialize.h"
+#include "util/cpu.h"
 #include "util/math_util.h"
+
+#if defined(__GNUC__) && defined(__x86_64__)
+#define SATO_CRF_HAS_AVX2 1
+#endif
 
 namespace sato::crf {
 
@@ -151,33 +156,82 @@ double LinearChainCrf::AccumulateGradients(const nn::Matrix& unary,
   return log_z - score;
 }
 
+namespace {
+
+/// One Viterbi relaxation step from a single predecessor state: for every
+/// state s, keeps `from + transition[s]` in best[s] (and `prev` in
+/// best_prev[s]) when it strictly beats the current best. Both stores are
+/// unconditional selects, not branches, so the loop if-converts into
+/// vector blends wherever the target has them.
+__attribute__((always_inline)) inline void RelaxFrom(
+    double from, const double* transition, int prev, size_t k, double* best,
+    int* best_prev) {
+  for (size_t s = 0; s < k; ++s) {
+    const double cand = from + transition[s];
+    const double current = best[s];
+    const int current_prev = best_prev[s];
+    const bool better = cand > current;
+    best[s] = better ? cand : current;
+    best_prev[s] = better ? prev : current_prev;
+  }
+}
+
+void RelaxFromPortable(double from, const double* transition, int prev,
+                       size_t k, double* best, int* best_prev) {
+  RelaxFrom(from, transition, prev, k, best, best_prev);
+}
+
+#if defined(SATO_CRF_HAS_AVX2)
+// The same loop compiled for AVX2, whose blends (absent from the SSE2
+// baseline) let it vectorise. Element-wise IEEE adds and compares in the
+// same order: bit-identical to the portable build.
+__attribute__((target("avx2"))) void RelaxFromAvx2(double from,
+                                                   const double* transition,
+                                                   int prev, size_t k,
+                                                   double* best,
+                                                   int* best_prev) {
+  RelaxFrom(from, transition, prev, k, best, best_prev);
+}
+#endif  // SATO_CRF_HAS_AVX2
+
+}  // namespace
+
 std::vector<int> LinearChainCrf::Viterbi(const nn::Matrix& unary) const {
   CheckShapes(unary, num_states_);
   const size_t m = unary.rows();
   const size_t k = static_cast<size_t>(num_states_);
   nn::Matrix delta(m, k);
-  std::vector<std::vector<int>> backptr(m, std::vector<int>(k, 0));
+  std::vector<int> backptr(m * k, 0);  // backptr[i * k + s]
+#if defined(SATO_CRF_HAS_AVX2)
+  const auto relax = util::CpuHasAvx2() && !util::CpuDispatchDisabledByEnv()
+                         ? RelaxFromAvx2
+                         : RelaxFromPortable;
+#else
+  const auto relax = RelaxFromPortable;
+#endif
   for (size_t s = 0; s < k; ++s) delta(0, s) = unary(0, s);
   for (size_t i = 1; i < m; ++i) {
-    for (size_t s = 0; s < k; ++s) {
-      double best = -std::numeric_limits<double>::infinity();
-      int best_prev = 0;
-      for (size_t prev = 0; prev < k; ++prev) {
-        double cand = delta(i - 1, prev) + pairwise_.value(prev, s);
-        if (cand > best) {
-          best = cand;
-          best_prev = static_cast<int>(prev);
-        }
-      }
-      delta(i, s) = best + unary(i, s);
-      backptr[i][s] = best_prev;
+    // `prev` outermost so the inner loop sweeps the contiguous pairwise
+    // row and vectorises. Visiting `prev` in increasing order with a
+    // strict `>` keeps first-max tie-breaking and adds the same two
+    // doubles per candidate, so the path is bit-identical to the
+    // per-state argmax.
+    const double* prev_delta = delta.Row(i - 1);
+    double* best = delta.Row(i);
+    int* best_prev = backptr.data() + i * k;
+    std::fill(best, best + k, -std::numeric_limits<double>::infinity());
+    for (size_t prev = 0; prev < k; ++prev) {
+      relax(prev_delta[prev], pairwise_.value.Row(prev),
+            static_cast<int>(prev), k, best, best_prev);
     }
+    const double* emission = unary.Row(i);
+    for (size_t s = 0; s < k; ++s) best[s] += emission[s];
   }
   std::vector<int> path(m);
   const double* last = delta.Row(m - 1);
   path[m - 1] = static_cast<int>(std::max_element(last, last + k) - last);
   for (size_t ii = m - 1; ii > 0; --ii) {
-    path[ii - 1] = backptr[ii][static_cast<size_t>(path[ii])];
+    path[ii - 1] = backptr[ii * k + static_cast<size_t>(path[ii])];
   }
   return path;
 }

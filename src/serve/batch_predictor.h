@@ -36,7 +36,7 @@ struct BatchPredictorOptions {
 /// construction and stay alive while the predictor exists, even if the
 /// registry they came from publishes newer versions meanwhile. (Offline
 /// batches want a consistent version end to end; the online
-/// PredictionService is the surface that re-pins per micro-batch.)
+/// PredictionService is the surface that re-pins per request.)
 ///
 /// The network's inference pass (SatoModel::Predict via Layer::Apply) is
 /// const and re-entrant: it writes nothing to the model and draws every

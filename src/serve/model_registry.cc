@@ -52,11 +52,19 @@ std::shared_ptr<const ModelBundle> ModelRegistry::Publish(
         version);
     history_.push_back(
         VersionRecord{version, std::move(tag), bundle, bundle->counters_});
-    // The swap itself: one atomic store. Readers that already pinned the
-    // old version keep it alive; new Current() calls see this bundle.
-    // Stored under mutex_ so concurrent publishes install in version
-    // order -- readers still never take the lock.
-    current_.store(bundle, std::memory_order_release);
+    // The swap itself. Readers that already pinned the old version keep
+    // it alive; new Current() calls see this bundle. Stored under mutex_
+    // so concurrent publishes install in version order; readers only
+    // take current_mutex_, and the old version (if this drops its last
+    // pin) is destroyed after that lock is released. The version id is
+    // stored after the pointer, so a reader that sees the new id and then
+    // pins gets the new bundle.
+    std::shared_ptr<const ModelBundle> previous;
+    {
+      std::lock_guard<std::mutex> current_lock(current_mutex_);
+      previous = std::exchange(current_, bundle);
+      current_version_.store(version, std::memory_order_release);
+    }
   }
   return bundle;
 }
@@ -68,11 +76,6 @@ std::shared_ptr<const ModelBundle> ModelRegistry::PublishBorrowed(
       std::shared_ptr<const SatoModel>(std::shared_ptr<void>(), &model),
       std::shared_ptr<const FeatureContext>(std::shared_ptr<void>(), context),
       std::move(scaler), std::move(tag));
-}
-
-uint64_t ModelRegistry::current_version() const {
-  auto bundle = Current();
-  return bundle != nullptr ? bundle->version() : 0;
 }
 
 std::shared_ptr<const ModelBundle> ModelRegistry::PinVersion(
@@ -89,7 +92,7 @@ RegistryStats ModelRegistry::Stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   // current_ is stored under mutex_ in Publish, so loading it inside the
   // critical section yields a snapshot consistent with published/versions.
-  auto current = current_.load(std::memory_order_acquire);
+  auto current = Current();
   stats.current_version = current != nullptr ? current->version() : 0;
   stats.published = next_version_ - 1;
   stats.versions.reserve(history_.size());

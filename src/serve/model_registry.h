@@ -36,7 +36,7 @@ struct VersionCounters {
 /// *pin* -- the bundle (and the model/context behind it, when owned) stays
 /// alive exactly until the last pin drops. That is the entire hot-swap
 /// story: publishing a new version never invalidates anything an in-flight
-/// batch is reading.
+/// request is reading.
 ///
 /// Version 0 means "unregistered" (a bundle wrapped around borrowed
 /// components outside any registry, e.g. the legacy borrow-based
@@ -131,10 +131,10 @@ struct RegistryStats {
 /// Versioned model registry with RCU-style hot swap.
 ///
 /// `Publish` wraps components into an immutable ModelBundle, assigns the
-/// next monotonically-increasing version id, and atomically replaces the
-/// current pointer. `Current` is the read side: an atomic shared_ptr load
-/// that pins the bundle for as long as the caller keeps the pointer --
-/// readers never block publishers and publishers never block readers
+/// next monotonically-increasing version id, and replaces the current
+/// pointer. `Current` is the read side: one shared_ptr copy that pins the
+/// bundle for as long as the caller keeps the pointer -- readers and
+/// publishers only ever contend for the duration of that pointer copy
 /// (classic read-copy-update with shared_ptr as the grace period: the old
 /// version is destroyed when its last pin drops, not at publish time).
 ///
@@ -143,9 +143,9 @@ struct RegistryStats {
 /// can revive a version only while someone still pins it (or it is
 /// current); once retired it returns nullptr.
 ///
-/// Thread-safe throughout. Publishing is rare and cheap (a few atomic
-/// ops + history bookkeeping under a mutex); pinning is a single atomic
-/// shared_ptr load.
+/// Thread-safe throughout. Publishing is rare and cheap (a pointer swap +
+/// history bookkeeping under a mutex); pinning is a single shared_ptr copy
+/// under a mutex held for nothing else.
 class ModelRegistry {
  public:
   ModelRegistry() = default;
@@ -169,11 +169,15 @@ class ModelRegistry {
 
   /// The current version, pinned. Null until the first Publish.
   std::shared_ptr<const ModelBundle> Current() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(current_mutex_);
+    return current_;
   }
 
-  /// Version id of the current bundle; 0 before the first Publish.
-  uint64_t current_version() const;
+  /// Version id of the current bundle; 0 before the first Publish. One
+  /// atomic load: no lock and no pin, so every request can read it.
+  uint64_t current_version() const {
+    return current_version_.load(std::memory_order_acquire);
+  }
 
   /// Pins a specific version: the current bundle, or an older one that is
   /// still alive (someone else pins it). Returns null for unknown or
@@ -218,9 +222,19 @@ class ModelRegistry {
     std::shared_ptr<internal::VersionCounters> counters;
   };
 
-  // The RCU pointer: readers pin with a single atomic load. Publishers
-  // store it while holding mutex_ so versions install monotonically.
-  std::atomic<std::shared_ptr<const ModelBundle>> current_;
+  // The RCU pointer. Readers pin by copying it under current_mutex_, which
+  // guards nothing else, so a reader never waits on a publisher's history
+  // bookkeeping. std::atomic<std::shared_ptr> would cost the same (the
+  // libstdc++ one is a spin lock too), but GCC 12's load releases that
+  // lock with relaxed ordering, which leaves its pointer read unordered
+  // before a concurrent Publish's write -- a race ThreadSanitizer reports.
+  // Publishers swap it while holding mutex_ so versions install
+  // monotonically.
+  mutable std::mutex current_mutex_;
+  std::shared_ptr<const ModelBundle> current_;
+  // current_->version(), stored with current_ for readers that need only
+  // the id (the result-cache key on every Submit).
+  std::atomic<uint64_t> current_version_{0};
 
   mutable std::mutex mutex_;  // history + correction log
   uint64_t next_version_ = 1;

@@ -1,6 +1,8 @@
 #include "serve/prediction_service.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -17,9 +19,8 @@ struct RequestState {
   Table table;
   uint64_t seed = 0;
   uint64_t submit_nanos = 0;
-  uint64_t deadline_nanos = 0;
   /// Absolute caller deadline on the service clock (0 = none): past this
-  /// instant the batcher/worker sheds the request instead of serving it.
+  /// instant the worker sheds the request instead of serving it.
   uint64_t client_deadline_nanos = 0;
   // Result-cache plumbing: the key computed (and missed) at Submit time,
   // reused for the completion-side Insert when the serving version still
@@ -58,7 +59,6 @@ uint64_t Percentile(const std::vector<uint64_t>& sorted, uint64_t q) {
 
 PredictionServiceOptions Sanitize(PredictionServiceOptions options) {
   options.num_threads = std::max<size_t>(1, options.num_threads);
-  options.max_batch_size = std::max<size_t>(1, options.max_batch_size);
   options.queue_capacity = std::max<size_t>(1, options.queue_capacity);
   return options;
 }
@@ -126,9 +126,7 @@ PredictionService::PredictionService(ModelRegistry* registry,
       scratches_(options_.num_threads),
       worker_context_(options_.num_threads),
       last_pinned_version_(registry->current_version()),
-      batch_size_histogram_(options_.max_batch_size + 1, 0),
-      pool_(options_.num_threads),
-      batcher_([this] { BatcherLoop(); }) {
+      pool_(options_.num_threads) {
   // Reserved up front so recording a latency sample never allocates --
   // the completion path must not be able to throw between a prediction
   // and resolving its handle.
@@ -151,30 +149,25 @@ PredictionService::PredictionService(const SatoModel& model,
 
 PredictionService::~PredictionService() { Shutdown(); }
 
-PredictionHandle PredictionService::Submit(const Table& table,
-                                           uint64_t seed) {
-  return Submit(table, seed, /*deadline_budget_nanos=*/0);
-}
-
-PredictionHandle PredictionService::Submit(const Table& table, uint64_t seed,
+PredictionHandle PredictionService::Submit(Table table, uint64_t seed,
                                            uint64_t deadline_budget_nanos) {
   // Content-addressed fast path: a hit resolves right here -- no admission
-  // slot, no batch seat, no worker. The key pins the version current at
-  // lookup time; a concurrent Publish makes a hit at worst equivalent to a
-  // request whose micro-batch pinned just before the swap (the same
-  // straddle window the uncached path already has), and post-swap lookups
-  // hash to new keys, so a stale version can never be served.
-  bool cache_eligible =
+  // slot, no worker. The key pins the version current at lookup time; a
+  // concurrent Publish makes a hit at worst equivalent to a request whose
+  // worker pinned just before the swap (the same straddle window the
+  // uncached path already has), and post-swap lookups hash to new keys,
+  // so a stale version can never be served.
+  auto state = std::make_shared<internal::RequestState>();
+  state->cache_eligible =
       options_.result_cache != nullptr && table.num_columns() > 0;
-  CacheKey cache_key;
-  uint64_t cache_key_version = 0;
-  if (cache_eligible) {
+  if (state->cache_eligible) {
     const uint64_t lookup_start = clock_->NowNanos();
-    cache_key_version = registry_->current_version();
-    cache_key = ComputeCacheKey(table, seed, cache_key_version);
+    state->cache_key_version = registry_->current_version();
+    state->cache_key = ComputeCacheKey(table, seed, state->cache_key_version);
     std::vector<TypeId> cached;
-    if (options_.result_cache->Lookup(cache_key, &cached)) {
-      bool serve_hit = false;
+    if (options_.result_cache->Lookup(state->cache_key, &cached)) {
+      PredictionResult result;
+      result.status = RequestStatus::kShutdown;
       const uint64_t latency = clock_->NowNanos() - lookup_start;
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -183,40 +176,41 @@ PredictionHandle PredictionService::Submit(const Table& table, uint64_t seed,
           // Shutdown still wins: admission (cached or not) is closed.
           ++rejected_shutdown_;
         } else {
-          serve_hit = true;
+          result.status = RequestStatus::kOk;
           ++cache_hits_;
           ++completed_;
-          if (latencies_.size() < kLatencyWindow) {
-            latencies_.push_back(latency);
-          } else {
-            latencies_[latency_next_] = latency;
-            latency_next_ = (latency_next_ + 1) % kLatencyWindow;
-          }
+          RecordLatencyLocked(latency);
         }
       }
-      auto state = std::make_shared<internal::RequestState>();
-      PredictionResult result;
-      if (serve_hit) {
-        result.status = RequestStatus::kOk;
+      if (result.status == RequestStatus::kOk) {
         result.type_ids = std::move(cached);
-        result.model_version = cache_key_version;
+        result.model_version = state->cache_key_version;
         result.cache_hit = true;
         result.latency_nanos = latency;
-      } else {
-        result.status = RequestStatus::kShutdown;
       }
       Resolve(state, std::move(result));
       return PredictionHandle(std::move(state));
     }
   }
 
-  // Admission decision first, table copy second: a rejected request must
-  // not pay O(table) work -- overload is exactly when that matters.
+  // Everything fallible but the dispatch itself happens before admission,
+  // so a failure here (a throwing clock, bad_alloc) leaves no slot
+  // reserved and no count taken; a failed dispatch gives both back.
+  state->seed = seed;
+  state->submit_nanos = clock_->NowNanos();
+  // The wire carries a RELATIVE budget (client and service clocks share no
+  // epoch); it becomes absolute exactly here, on the service clock.
+  state->client_deadline_nanos =
+      deadline_budget_nanos == 0 ? 0
+                                 : state->submit_nanos + deadline_budget_nanos;
+  state->table = std::move(table);
+  std::function<void(size_t)> task = [this, state](size_t worker) {
+    ExecuteRequest(state, worker);
+  };
+
   RequestStatus admission = RequestStatus::kOk;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++submitted_;
-    if (cache_eligible) ++cache_misses_;
     if (stop_) {
       admission = RequestStatus::kShutdown;
       ++rejected_shutdown_;
@@ -230,176 +224,47 @@ PredictionHandle PredictionService::Submit(const Table& table, uint64_t seed,
       admission = RequestStatus::kRejected;
       ++rejected_;
     } else {
-      ++outstanding_;  // reserve the admission slot before unlocking
+      // Reserve the admission slot; Shutdown waits for every reserved slot
+      // to complete, so it cannot miss the dispatch below.
+      ++outstanding_;
     }
+    ++submitted_;
+    if (state->cache_eligible) ++cache_misses_;
   }
   if (admission != RequestStatus::kOk) {
-    auto state = std::make_shared<internal::RequestState>();
     PredictionResult result;
     result.status = admission;
     Resolve(state, std::move(result));
     return PredictionHandle(std::move(state));
   }
-
-  std::shared_ptr<internal::RequestState> state;
+  // Dispatch outside mutex_: waking a worker is a syscall, and a submitter
+  // preempted inside it must not stall every other submitter and worker.
   try {
-    state = std::make_shared<internal::RequestState>();
-    state->table = table;  // the only O(table) cost, outside the lock
+    pool_.Submit(std::move(task));
   } catch (...) {
-    // The copy failed (e.g. bad_alloc): give the reserved slot back so
-    // capacity is not leaked, then let the caller see the error.
-    std::lock_guard<std::mutex> lock(mutex_);
-    --outstanding_;
-    --submitted_;  // this request never happened, keep accepted==completed
+    // The pool could not take the task (bad_alloc): this request never
+    // happened, so give the slot and the counts back before the caller
+    // sees the error.
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      --outstanding_;
+      --submitted_;
+      if (state->cache_eligible) --cache_misses_;
+      NotifyIfDrainedLocked();
+    }
     throw;
   }
-  state->seed = seed;
-  state->cache_eligible = cache_eligible;
-  state->cache_key = cache_key;
-  state->cache_key_version = cache_key_version;
-  bool enqueued = true;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stop_) {
-      // Shutdown won the race while we copied: the batcher may already
-      // have drained and exited, so enqueueing now would strand the
-      // request. Give the slot back and resolve kShutdown.
-      --outstanding_;
-      ++rejected_shutdown_;
-      enqueued = false;
-    } else {
-      state->submit_nanos = clock_->NowNanos();
-      state->deadline_nanos =
-          state->submit_nanos + options_.max_queue_delay_nanos;
-      // The wire carries a RELATIVE budget (client and service clocks share
-      // no epoch); it becomes absolute exactly here, on the service clock.
-      state->client_deadline_nanos =
-          deadline_budget_nanos == 0
-              ? 0
-              : state->submit_nanos + deadline_budget_nanos;
-      pending_.push_back(state);
-    }
-  }
-  if (!enqueued) {
-    PredictionResult result;
-    result.status = RequestStatus::kShutdown;
-    Resolve(state, std::move(result));
-    return PredictionHandle(std::move(state));
-  }
-  queue_cv_.notify_all();
   return PredictionHandle(std::move(state));
 }
 
-void PredictionService::BatcherLoop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    queue_cv_.wait(lock, [this] { return stop_ || !pending_.empty(); });
-    if (pending_.empty()) {
-      if (stop_) return;  // drained; Shutdown joins us next
-      continue;
-    }
-    // Deadline-driven coalescing: flush when the batch fills, when the
-    // oldest pending request's deadline arrives, or at shutdown --
-    // whichever comes first. A full batch never waits.
-    const uint64_t deadline = pending_.front()->deadline_nanos;
-    clock_->WaitUntil(queue_cv_, lock, deadline, [this] {
-      return stop_ || pending_.size() >= options_.max_batch_size;
-    });
-
-    // Shed-then-fill: pull pending requests until the batch fills,
-    // shedding any whose caller deadline already expired -- inference on
-    // an answer nobody is waiting for would only add queueing delay for
-    // the requests behind it. Shed requests release their admission slot
-    // and count as completed (deadline_exceeded in Stats), but take no
-    // latency sample: they measure the caller's impatience, not ours.
-    std::vector<std::shared_ptr<internal::RequestState>> batch;
-    std::vector<std::shared_ptr<internal::RequestState>> shed;
-    batch.reserve(std::min(pending_.size(), options_.max_batch_size));
-    const uint64_t now_nanos = clock_->NowNanos();
-    while (!pending_.empty() && batch.size() < options_.max_batch_size) {
-      std::shared_ptr<internal::RequestState> request =
-          std::move(pending_.front());
-      pending_.pop_front();
-      if (request->client_deadline_nanos != 0 &&
-          now_nanos >= request->client_deadline_nanos) {
-        --outstanding_;
-        ++completed_;
-        ++deadline_exceeded_;
-        shed.push_back(std::move(request));
-      } else {
-        batch.push_back(std::move(request));
-      }
-    }
-
-    // Pin the model version for this whole micro-batch: one atomic
-    // shared_ptr load. Requests in this batch all serve on `bundle` even
-    // if a Publish lands mid-execution; the next batch re-pins. An
-    // all-shed sweep pins nothing and counts no batch.
-    std::shared_ptr<const ModelBundle> bundle;
-    bool swapped = false;
-    if (!batch.empty()) {
-      ++batches_;
-      ++batch_size_histogram_[batch.size()];
-      bundle = registry_->Current();
-      swapped = bundle->version() != last_pinned_version_;
-      if (swapped) {
-        ++model_swaps_;
-        last_pinned_version_ = bundle->version();
-      }
-    }
-
-    lock.unlock();
-    for (auto& request : shed) {
-      PredictionResult result;
-      result.status = RequestStatus::kDeadlineExceeded;
-      Resolve(request, std::move(result));
-    }
-    shed.clear();
-    if (bundle != nullptr) {
-      if (swapped && options_.result_cache != nullptr) {
-        // Space reclamation, not correctness: superseded entries are
-        // already unreachable (their keys embed the old version), so drop
-        // them now instead of letting LRU pressure age them out.
-        options_.result_cache->PurgeVersionsOtherThan(bundle->version());
-      }
-      for (auto& request : batch) {
-        pool_.Submit(
-            [this, state = std::move(request), bundle](size_t worker) mutable {
-              ExecuteRequest(state, bundle, worker);
-              // Drop the pin before the task returns, not when the pool
-              // eventually destroys the closure: once the pool's Wait()
-              // barrier passes (Shutdown), no task still pins a retired
-              // bundle, so "old version freed after its last in-flight
-              // batch" is a guarantee rather than an eventually.
-              bundle.reset();
-              state.reset();
-            });
-      }
-      bundle.reset();  // the tasks' copies are the remaining pins
-    }
-    lock.lock();
-  }
-}
-
 void PredictionService::ExecuteRequest(
-    const std::shared_ptr<internal::RequestState>& state,
-    const std::shared_ptr<const ModelBundle>& bundle, size_t worker) {
-  // Scratch re-binding: this worker's token dictionary is keyed to the
-  // context it last featurized against. A different context pointer means
-  // a hot swap replaced the featurization state; the next
-  // TokenCache::Build detects the changed component pointers and
-  // re-resolves the dictionary. Holding the shared_ptr per worker is the
-  // ABA guard -- while we pin the old context, a new one can never be
-  // allocated at the same address. Worker slot w is only ever touched by
-  // pool thread w, so this needs no lock and cannot race an executing
-  // batch.
-  if (worker_context_[worker] != bundle->context_ptr()) {
-    worker_context_[worker] = bundle->context_ptr();
-  }
-
-  // Last-chance shed: the deadline may have expired between batch
-  // formation and this worker picking the task up (queue depth, a stalled
-  // sibling). Once past this check the request runs to completion.
+    const std::shared_ptr<internal::RequestState>& state, size_t worker) {
+  // Pickup-time shed: the pool queue is the only place a request waits,
+  // so this is the one point where its deadline can have expired. Shed
+  // requests release their admission slot and count as completed
+  // (deadline_exceeded in Stats), but take no latency sample: they measure
+  // the caller's impatience, not ours. Past this check the request runs
+  // to completion.
   if (state->client_deadline_nanos != 0) {
     bool expired = false;
     try {
@@ -413,6 +278,7 @@ void PredictionService::ExecuteRequest(
         --outstanding_;
         ++completed_;
         ++deadline_exceeded_;
+        NotifyIfDrainedLocked();
       }
       PredictionResult result;
       result.status = RequestStatus::kDeadlineExceeded;
@@ -421,9 +287,39 @@ void PredictionService::ExecuteRequest(
     }
   }
 
+  // Pin the model version for this request: one registry Current() call.
+  // The request serves on `bundle` even if a Publish lands mid-execution;
+  // the pin drops when this function returns.
+  const std::shared_ptr<const ModelBundle> bundle = registry_->Current();
+  const uint64_t version = bundle->version();
+  bool swapped = false;
+  uint64_t last = last_pinned_version_.load(std::memory_order_relaxed);
+  while (version > last && !swapped) {
+    swapped = last_pinned_version_.compare_exchange_weak(last, version);
+  }
+  if (swapped && options_.result_cache != nullptr) {
+    // Space reclamation, not correctness: superseded entries are already
+    // unreachable (their keys embed the old version), so drop them now
+    // instead of letting LRU pressure age them out.
+    options_.result_cache->PurgeVersionsOtherThan(version);
+  }
+
+  // Scratch re-binding: this worker's token dictionary is keyed to the
+  // context it last featurized against. A different context pointer means
+  // a hot swap replaced the featurization state; the next
+  // TokenCache::Build detects the changed component pointers and
+  // re-resolves the dictionary. Holding the shared_ptr per worker is the
+  // ABA guard -- while we pin the old context, a new one can never be
+  // allocated at the same address. Worker slot w is only ever touched by
+  // pool thread w, so this needs no lock and cannot race an executing
+  // request.
+  if (worker_context_[worker] != bundle->context_ptr()) {
+    worker_context_[worker] = bundle->context_ptr();
+  }
+
   PredictionResult result;
   result.status = RequestStatus::kOk;
-  result.model_version = bundle->version();
+  result.model_version = version;
   try {
     if (MaybeInject(options_.fault_injector, FaultPoint::kDispatchThrow)) {
       // Deliberately thrown INSIDE the normal try so it exercises exactly
@@ -432,22 +328,20 @@ void PredictionService::ExecuteRequest(
     }
     if (state->table.num_columns() > 0) {
       // The caller-supplied seed is the ONLY stochastic input: prediction
-      // is a pure function of (table, seed) and the pinned version,
-      // never of batching/workers.
+      // is a pure function of (table, seed) and the pinned version, never
+      // of scheduling or workers.
       util::Rng rng(state->seed);
       result.type_ids = bundle->predictor().PredictTable(
           state->table, &rng, &workspaces_[worker], &scratches_[worker]);
       if (state->cache_eligible) {
         // Insert under the version that actually served: when a publish
-        // landed between Submit and dispatch, the lookup-time key would
-        // file the result under the wrong version.
+        // landed between Submit and pickup, the lookup-time key would file
+        // the result under the wrong version.
         const CacheKey key =
-            bundle->version() == state->cache_key_version
+            version == state->cache_key_version
                 ? state->cache_key
-                : ComputeCacheKey(state->table, state->seed,
-                                  bundle->version());
-        options_.result_cache->Insert(key, bundle->version(),
-                                      result.type_ids);
+                : ComputeCacheKey(state->table, state->seed, version);
+        options_.result_cache->Insert(key, version, result.type_ids);
       }
     }
     bundle->RecordServed();
@@ -471,28 +365,42 @@ void PredictionService::ExecuteRequest(
     std::lock_guard<std::mutex> lock(mutex_);
     --outstanding_;
     ++completed_;
-    // Sliding window: bounded memory and a bounded Stats() sort, however
-    // long the service runs.
-    if (latencies_.size() < kLatencyWindow) {
-      latencies_.push_back(result.latency_nanos);
-    } else {
-      latencies_[latency_next_] = result.latency_nanos;
-      latency_next_ = (latency_next_ + 1) % kLatencyWindow;
-    }
+    if (swapped) ++model_swaps_;
+    RecordLatencyLocked(result.latency_nanos);
+    NotifyIfDrainedLocked();
   }
   Resolve(state, std::move(result));
+}
+
+void PredictionService::RecordLatencyLocked(uint64_t latency_nanos) {
+  // Sliding window: bounded memory and a bounded Stats() sort, however
+  // long the service runs.
+  if (latencies_.size() < kLatencyWindow) {
+    latencies_.push_back(latency_nanos);
+  } else {
+    latencies_[latency_next_] = latency_nanos;
+    latency_next_ = (latency_next_ + 1) % kLatencyWindow;
+  }
+}
+
+void PredictionService::NotifyIfDrainedLocked() {
+  // Only Shutdown waits on drained_, so serving never pays for the wake.
+  // Notified under mutex_: Shutdown cannot return and let the service be
+  // destroyed while a notify is still in progress.
+  if (stop_ && outstanding_ == 0) drained_.notify_all();
 }
 
 void PredictionService::Shutdown() {
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    // Every request admitted before stop_ holds a slot until it completes,
+    // including one whose submitter has not reached pool_.Submit yet.
+    std::unique_lock<std::mutex> lock(mutex_);
     stop_ = true;
+    drained_.wait(lock, [this] { return outstanding_ == 0; });
   }
-  queue_cv_.notify_all();
-  if (batcher_.joinable()) batcher_.join();
-  // The batcher flushed every admitted request before exiting; the pool
-  // barrier makes their completion visible to us.
+  // Every slot is released; the pool barrier waits for the tasks to
+  // resolve their handles and return (dropping their version pins).
   pool_.Wait();
 }
 
@@ -508,11 +416,9 @@ ServiceStats PredictionService::Stats() const {
     stats.accepted = submitted_ - rejected_ - rejected_shutdown_;
     stats.completed = completed_;
     stats.outstanding = outstanding_;
-    stats.batches = batches_;
     stats.model_swaps = model_swaps_;
     stats.cache_hits = cache_hits_;
     stats.cache_misses = cache_misses_;
-    stats.batch_size_histogram = batch_size_histogram_;
     latencies = latencies_;
   }
   std::sort(latencies.begin(), latencies.end());
@@ -529,11 +435,9 @@ void PredictionService::ResetStats() {
   rejected_ = 0;
   rejected_shutdown_ = 0;
   deadline_exceeded_ = 0;
-  batches_ = 0;
   model_swaps_ = 0;
   cache_hits_ = 0;
   cache_misses_ = 0;
-  std::fill(batch_size_histogram_.begin(), batch_size_histogram_.end(), 0);
   latencies_.clear();
   latency_next_ = 0;
 }

@@ -1,13 +1,12 @@
 #ifndef SATO_SERVE_PREDICTION_SERVICE_H_
 #define SATO_SERVE_PREDICTION_SERVICE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/feature_context.h"
@@ -30,10 +29,10 @@ enum class RequestStatus : uint8_t {
   kRejected = 1,  ///< bounded admission queue was full at Submit time
   kShutdown = 2,  ///< submitted after Shutdown() began
   kFailed = 3,    ///< prediction threw; PredictionResult::error holds it
-  /// The caller-supplied deadline expired before the request reached a
-  /// worker: the batcher (or the worker, for requests already dispatched)
-  /// shed it instead of spending inference on an answer nobody is waiting
-  /// for. Only possible when Submit was given a nonzero deadline budget.
+  /// The caller-supplied deadline expired while the request waited in the
+  /// pool queue: the worker that picked it up shed it instead of spending
+  /// inference on an answer nobody is waiting for. Only possible when
+  /// Submit was given a nonzero deadline budget.
   kDeadlineExceeded = 4,
 };
 
@@ -93,15 +92,6 @@ struct PredictionServiceOptions {
   /// Prediction worker threads (the ThreadPool). Clamped to >= 1.
   size_t num_threads = 1;
 
-  /// A micro-batch flushes immediately once this many requests are
-  /// pending -- a full batch never waits on the deadline. Clamped to >= 1.
-  size_t max_batch_size = 32;
-
-  /// How long the oldest pending request may wait before its (possibly
-  /// partial) micro-batch flushes. A lone request flushes exactly when its
-  /// submit time plus this delay is reached on the service clock.
-  uint64_t max_queue_delay_nanos = 1'000'000;  // 1 ms
-
   /// Bounded admission: Submit rejects (status kRejected) while this many
   /// admitted requests have not yet completed. Clamped to >= 1.
   size_t queue_capacity = 1024;
@@ -112,9 +102,9 @@ struct PredictionServiceOptions {
 
   /// Optional content-addressed result cache in front of inference.
   /// Borrowed; must outlive the service. A hit resolves the handle at
-  /// Submit time without consuming an admission slot, a batch seat or a
-  /// worker; a miss falls through to the normal path and the completed
-  /// prediction is inserted under the version that actually served it.
+  /// Submit time without consuming an admission slot or a worker; a miss
+  /// falls through to the normal path and the completed prediction is
+  /// inserted under the version that actually served it.
   /// nullptr (default) disables caching entirely.
   ResultCache* result_cache = nullptr;
 
@@ -140,50 +130,49 @@ struct ServiceStats {
   /// completed as well -- shed requests still release their admission slot.
   uint64_t deadline_exceeded = 0;
   uint64_t outstanding = 0;        ///< admitted, not yet completed
-  uint64_t batches = 0;            ///< micro-batches dispatched
-  /// Micro-batches whose pinned model version differed from the previous
-  /// batch's -- the number of hot swaps the dispatch path actually
+  /// Requests that were the first to pin a model version newer than every
+  /// earlier pin -- the number of hot swaps the dispatch path actually
   /// crossed (0 while one version serves the whole stream).
   uint64_t model_swaps = 0;
   /// Result-cache outcomes (both 0 when no cache is configured). Hits
-  /// count as submitted+completed but never as batched/outstanding.
+  /// count as submitted+completed but never as outstanding.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  /// batch_size_histogram[s] = number of dispatched micro-batches of size
-  /// s, for s in [0, max_batch_size] (index 0 is always 0).
-  std::vector<uint64_t> batch_size_histogram;
   uint64_t latency_p50_nanos = 0;
   uint64_t latency_p95_nanos = 0;
   uint64_t latency_p99_nanos = 0;
 };
 
 /// Online serving frontend: callers Submit() single tables from any thread
-/// and get a future-like handle; a batcher thread coalesces pending
-/// requests into micro-batches under a max-batch-size / max-queue-delay
-/// deadline and dispatches them onto the shared ThreadPool + per-worker
-/// Workspace/FeatureScratch machinery. Steady-state serving therefore
-/// allocates nothing inside featurization or the network and shares ONE
-/// immutable model *version* per micro-batch.
+/// and get a future-like handle. A request goes through three steps, all
+/// on the submitting thread: the result cache, bounded admission, then
+/// dispatch straight onto the shared ThreadPool, whose per-worker
+/// Workspace/FeatureScratch machinery means steady-state serving allocates
+/// nothing inside featurization or the network. The pool queue is the only
+/// place a request waits; nothing holds it on a timer. Sato scores each
+/// table on its own (topic vector + CRF over its columns), so stacking
+/// requests into batches would share no work.
 ///
 /// Zero-downtime hot swap: the service serves whatever its ModelRegistry
-/// currently publishes. The batcher pins Current() ONCE per micro-batch
-/// (an atomic shared_ptr load), so a Publish during live traffic is
-/// race-free by construction -- in-flight batches finish on the version
-/// they pinned, batches dispatched after the publish pick up the new one,
-/// no request is dropped or delayed, and the old bundle is destroyed when
-/// the last in-flight batch drops its pin (RCU grace period ==
-/// shared_ptr refcount). Every PredictionResult carries the
-/// model_version that produced it.
+/// currently publishes. The worker pins Current() ONCE per request (one
+/// shared_ptr copy) when it picks the request up, so a Publish
+/// during live traffic is race-free by construction -- in-flight requests
+/// finish on the version they pinned, requests picked up after the
+/// publish serve the new one, no request is dropped or delayed, and the
+/// old bundle is destroyed when the last in-flight request drops its pin
+/// (RCU grace period == shared_ptr refcount). Every PredictionResult
+/// carries the model_version that produced it. The first request to pin a
+/// newer version purges the result cache of every other version (space
+/// reclamation only: old keys embed the old version and can never hit).
 ///
-/// Determinism under batching AND swapping: each request decodes with an
-/// Rng seeded by its caller-supplied seed and nothing else, so the
+/// Determinism under concurrency AND swapping: each request decodes with
+/// an Rng seeded by its caller-supplied seed and nothing else, so the
 /// prediction is a pure function of (table, seed, model version) --
 /// byte-identical to a sequential SatoPredictor::PredictTable on the
-/// version in the response, regardless of how requests coalesce into
-/// batches, which worker runs them, or the worker count (asserted by
-/// tests/service_test.cc, including mid-stream publishes). Callers who
-/// need distinct per-request streams from one base seed should derive
-/// them with BatchPredictor::TableSeed(base, i).
+/// version in the response, regardless of which worker runs it or the
+/// worker count (asserted by tests/service_test.cc, including mid-stream
+/// publishes). Callers who need distinct per-request streams from one
+/// base seed should derive them with BatchPredictor::TableSeed(base, i).
 ///
 /// Scratch re-binding across swaps: per-worker FeatureScratch token
 /// dictionaries are keyed to one FeatureContext. Each worker holds a
@@ -194,16 +183,16 @@ struct ServiceStats {
 /// pointer comparison exact -- a freed context recycled at the same
 /// address (ABA) cannot masquerade as "unchanged". Re-binding happens on
 /// the worker thread between requests, so it never races an executing
-/// batch; a model-only swap that reuses the same context keeps every
+/// request; a model-only swap that reuses the same context keeps every
 /// worker dictionary warm.
 ///
 /// Backpressure: admission is bounded by queue_capacity outstanding
 /// requests; overflow Submits resolve immediately with kRejected (never a
 /// hang), and admission resumes as outstanding requests complete.
 ///
-/// Shutdown() stops admission (further Submits resolve kShutdown),
-/// flushes and drains every admitted request, then joins the batcher and
-/// waits for the pool. The destructor calls it.
+/// Shutdown() stops admission (further Submits resolve kShutdown), then
+/// waits for the pool to drain every admitted request. The destructor
+/// calls it.
 class PredictionService {
  public:
   /// Serves the registry's current (and future) versions. `registry` is
@@ -228,25 +217,23 @@ class PredictionService {
   PredictionService(const PredictionService&) = delete;
   PredictionService& operator=(const PredictionService&) = delete;
 
-  /// Enqueues one table for prediction. Never blocks: returns an already
-  /// resolved handle (kRejected / kShutdown) when admission fails. An
-  /// empty table resolves kOk with no type ids.
+  /// Dispatches one table for prediction. Never blocks: returns an
+  /// already resolved handle (kRejected / kShutdown) when admission fails.
+  /// An empty table resolves kOk with no type ids.
   ///
-  /// The table is copied only after admission succeeds (and outside the
-  /// service lock), so an overloaded service sheds rejected requests in
-  /// O(1) -- backpressure caps submitter-side work too.
-  PredictionHandle Submit(const Table& table, uint64_t seed);
-
-  /// Deadline-aware Submit: `deadline_budget_nanos` is the remaining time
-  /// the caller is willing to wait, measured on the SERVICE clock from the
-  /// moment of this call (relative, so client and server clocks need no
-  /// common epoch -- this is what the wire header's deadline_micros feeds).
-  /// 0 means no deadline (identical to the 2-argument overload). A request
-  /// whose deadline expires before it reaches a worker resolves
-  /// kDeadlineExceeded without running inference; a request that starts
-  /// executing always runs to completion.
-  PredictionHandle Submit(const Table& table, uint64_t seed,
-                          uint64_t deadline_budget_nanos);
+  /// The table is taken by value and moved into the request, so a caller
+  /// that passes an rvalue (the server passes its freshly decoded table)
+  /// pays no O(table) copy, accepted or rejected.
+  ///
+  /// `deadline_budget_nanos` is the remaining time the caller is willing
+  /// to wait, measured on the SERVICE clock from the moment of this call
+  /// (relative, so client and server clocks need no common epoch -- this
+  /// is what the wire header's deadline_micros feeds). 0 means no
+  /// deadline. A request whose deadline has expired when a worker picks
+  /// it up resolves kDeadlineExceeded without running inference; a
+  /// request that starts executing always runs to completion.
+  PredictionHandle Submit(Table table, uint64_t seed,
+                          uint64_t deadline_budget_nanos = 0);
 
   /// Graceful drain; idempotent and safe to call concurrently. After it
   /// returns, every previously admitted request is resolved and further
@@ -256,8 +243,8 @@ class PredictionService {
   /// Consistent snapshot of the counters and latency percentiles.
   ServiceStats Stats() const;
 
-  /// Zeroes the cumulative counters, histogram and latency samples (not
-  /// the admission state). Benchmarks call this after warm-up.
+  /// Zeroes the cumulative counters and latency samples (not the
+  /// admission state). Benchmarks call this after warm-up.
   void ResetStats();
 
   size_t num_threads() const { return pool_.num_threads(); }
@@ -267,7 +254,7 @@ class PredictionService {
   /// than this have completed, the oldest samples are overwritten.
   static constexpr size_t kLatencyWindow = 1 << 16;
 
-  /// Pinned snapshot of the version the NEXT micro-batch will serve.
+  /// Pinned snapshot of the version the NEXT request will serve.
   /// Safe to hold indefinitely (it is a pin of its own). This replaces
   /// the old `const SatoModel& model()` accessor, which would have
   /// dangled the moment a publish retired the model it pointed into.
@@ -275,7 +262,7 @@ class PredictionService {
     return registry_->Current();
   }
 
-  /// Version id the next micro-batch will serve.
+  /// Version id the next request will serve.
   uint64_t model_version() const { return registry_->current_version(); }
 
   /// The registry this service serves from (never null). The compat
@@ -289,10 +276,13 @@ class PredictionService {
   PredictionService(std::unique_ptr<ModelRegistry> owned,
                     const PredictionServiceOptions& options);
 
-  void BatcherLoop();
   void ExecuteRequest(const std::shared_ptr<internal::RequestState>& state,
-                      const std::shared_ptr<const ModelBundle>& bundle,
                       size_t worker);
+  /// Adds one sample to the latency window. Caller holds mutex_.
+  void RecordLatencyLocked(uint64_t latency_nanos);
+  /// Wakes Shutdown once the last admitted request completes. Caller holds
+  /// mutex_ and has just released an admission slot.
+  void NotifyIfDrainedLocked();
 
   PredictionServiceOptions options_;      // sanitized copy
   std::unique_ptr<SteadyClock> own_clock_;  // set when options.clock == null
@@ -307,9 +297,13 @@ class PredictionService {
   // makes the swap-detection pointer comparison ABA-proof.
   std::vector<std::shared_ptr<const FeatureContext>> worker_context_;
 
+  // Highest version any request has pinned. A CAS-max, not a plain
+  // exchange: a worker that pinned the old version just before a publish
+  // must not count a second swap or purge the new version's entries.
+  std::atomic<uint64_t> last_pinned_version_;
+
   mutable std::mutex mutex_;
-  std::condition_variable queue_cv_;  // batcher parks here; Submit/Shutdown wake it
-  std::deque<std::shared_ptr<internal::RequestState>> pending_;
+  std::condition_variable drained_;  // outstanding_ reached 0 after stop_
   bool stop_ = false;
   uint64_t submitted_ = 0;
   uint64_t completed_ = 0;
@@ -317,21 +311,17 @@ class PredictionService {
   uint64_t rejected_shutdown_ = 0;
   uint64_t deadline_exceeded_ = 0;
   uint64_t outstanding_ = 0;
-  uint64_t batches_ = 0;
   uint64_t model_swaps_ = 0;
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
-  uint64_t last_pinned_version_ = 0;  // batcher-only, guarded by mutex_
-  std::vector<uint64_t> batch_size_histogram_;
   std::vector<uint64_t> latencies_;  // ring of the last kLatencyWindow samples
   size_t latency_next_ = 0;          // ring cursor once the window is full
 
   std::mutex shutdown_mutex_;  // serialises concurrent Shutdown calls
 
-  // Declared last so the pool drains and the batcher joins before any
-  // state above is destroyed (the destructor shuts down first anyway).
+  // Declared last so the pool drains before any state above is destroyed
+  // (the destructor shuts down first anyway).
   ThreadPool pool_;
-  std::thread batcher_;
 };
 
 }  // namespace sato::serve

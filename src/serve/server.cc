@@ -442,7 +442,7 @@ void Server::HandleFrame(int fd, const wire::FrameHeader& header,
       // The header's deadline budget is relative (client and server clocks
       // share no epoch); the service converts it to absolute on ITS clock.
       PredictionHandle handle = service_->Submit(
-          table, seed, uint64_t{header.deadline_micros} * 1000);
+          std::move(table), seed, uint64_t{header.deadline_micros} * 1000);
       const PredictionResult& result = handle.Get();
       body.model_version = result.model_version;
       body.cache_hit = result.cache_hit;

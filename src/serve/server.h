@@ -102,7 +102,7 @@ struct ServerStats {
 /// (bounded by max_connections). Requests on a connection are served in
 /// order -- responses carry the echoed request id, and clients may
 /// pipeline as many frames as they like; cross-request concurrency comes
-/// from concurrent connections feeding the service's shared micro-batcher.
+/// from concurrent connections submitting to the one shared service.
 ///
 /// Error discipline: header-level corruption (bad magic, wrong version,
 /// oversized or truncated frame) is answered with one typed error frame

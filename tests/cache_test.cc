@@ -292,7 +292,6 @@ TEST_F(CacheParityTest, HitsAreByteIdenticalToColdAtEveryWorkerCount) {
 
     PredictionServiceOptions options;
     options.num_threads = workers;
-    options.max_batch_size = 8;
     options.result_cache = &cache;
     PredictionService service(&registry, options);
 
@@ -366,7 +365,7 @@ TEST_F(CacheParityTest, ParityHoldsAcrossMidStreamHotSwap) {
     EXPECT_EQ(warm.type_ids, cold.type_ids);
   }
 
-  // The batcher purges retired-version entries when it observes the swap;
+  // The first request to pin v2 purges retired-version entries;
   // by now every v1 entry is gone and only v2 remains resident.
   ResultCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.version_purged, n);
@@ -389,7 +388,6 @@ TEST_F(CacheParityTest, FourProducersStayByteIdenticalAtEveryWorkerCount) {
 
     PredictionServiceOptions options;
     options.num_threads = workers;
-    options.max_batch_size = 8;
     options.result_cache = &cache;
     PredictionService service(&registry, options);
 

@@ -43,6 +43,8 @@
 #include "table/table.h"
 #include "util/rng.h"
 
+#include "gate_clock.h"
+
 namespace sato {
 namespace {
 
@@ -64,6 +66,7 @@ using serve::Server;
 using serve::ServerOptions;
 using serve::ServerStats;
 using serve::ServiceStats;
+using testutil::GateClock;
 namespace wire = serve::wire;
 using wire::Client;
 using wire::ClientResponse;
@@ -553,24 +556,27 @@ TEST_F(ChaosServingTest, BackoffThatWouldOutliveTheDeadlineReturnsTypedError) {
 
 // ---------------------------------------------------- deadline shedding ----
 
-TEST_F(ChaosServingTest, ExpiredDeadlineIsShedByTheBatcherTyped) {
-  FakeClock clock;
+// A request queued behind the single worker, whose budget lapses on the
+// fake clock while it waits, is shed when the worker picks it up: typed
+// kDeadlineExceeded, no inference. A request without a deadline queued
+// behind it is still served, oracle-identical.
+TEST_F(ChaosServingTest, ExpiredDeadlineIsShedAtWorkerPickupTyped) {
+  GateClock clock;
   ModelRegistry registry;
   registry.PublishBorrowed(*model_, context_, *scaler_);
   PredictionServiceOptions options;
   options.num_threads = 1;
-  options.max_batch_size = 8;
-  options.max_queue_delay_nanos = kMillisecond;
   options.clock = &clock;
   PredictionService service(&registry, options);
 
-  // A sheds (500 us budget < the 1 ms flush wait); B has no deadline and
-  // must ride the same micro-batch to a normal, oracle-identical answer.
+  auto blocker = service.Submit((*tables_)[0], 10);
+  clock.AwaitHeld();  // the only worker is parked inside `blocker`
   auto shed = service.Submit((*tables_)[1], 11, 500 * kMicrosecond);
   auto served = service.Submit((*tables_)[2], 12);
-  clock.AwaitWaiters(1);  // the batcher reached its flush-deadline wait
-  clock.AdvanceNanos(kMillisecond);
+  clock.AdvanceNanos(500 * kMicrosecond);  // exactly the shed budget
+  clock.Release();
 
+  EXPECT_EQ(blocker.Get().status, RequestStatus::kOk);
   EXPECT_EQ(shed.Get().status, RequestStatus::kDeadlineExceeded);
   EXPECT_TRUE(shed.Get().type_ids.empty());
   EXPECT_EQ(served.Get().status, RequestStatus::kOk);
@@ -579,20 +585,17 @@ TEST_F(ChaosServingTest, ExpiredDeadlineIsShedByTheBatcherTyped) {
   service.Shutdown();
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.deadline_exceeded, 1u);
-  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.outstanding, 0u);
 }
 
 TEST_F(ChaosServingTest, WireDeadlinePropagatesAndShedsServerSide) {
+  GateClock clock;
   ModelRegistry registry;
   registry.PublishBorrowed(*model_, context_, *scaler_);
   PredictionServiceOptions sopts;
   sopts.num_threads = 1;
-  sopts.max_batch_size = 64;
-  // The batcher waits 50 ms before flushing a lone request; a 5 ms wire
-  // budget is guaranteed to expire in the queue, so the service MUST shed
-  // (typed), not serve late.
-  sopts.max_queue_delay_nanos = 50 * kMillisecond;
+  sopts.clock = &clock;
   PredictionService service(&registry, sopts);
   Server server(&service, ServerOptions{});
 
@@ -603,11 +606,25 @@ TEST_F(ChaosServingTest, WireDeadlinePropagatesAndShedsServerSide) {
   policy.request_deadline_nanos = 5 * kMillisecond;
   client.set_retry_policy(policy);
 
+  // Hold the only worker, so the wire request below waits in the pool
+  // queue; once it is admitted, move the service clock past its 5 ms
+  // budget and let the worker go. The service MUST shed (typed), not
+  // serve late.
+  auto blocker = service.Submit((*tables_)[0], 10);
+  clock.AwaitHeld();
+  std::thread expire([&] {
+    while (service.Stats().submitted < 2) std::this_thread::yield();
+    clock.AdvanceNanos(5 * kMillisecond);
+    clock.Release();
+  });
+
   ClientResponse response = client.Predict((*tables_)[3], 13);
+  expire.join();
   EXPECT_TRUE(response.transport_ok);
   EXPECT_EQ(response.body.status, WireStatus::kDeadlineExceeded);
   EXPECT_EQ(response.attempts, 1);
   EXPECT_EQ(client.total_retries(), 0u);
+  EXPECT_EQ(blocker.Get().status, RequestStatus::kOk);
   EXPECT_EQ(service.Stats().deadline_exceeded, 1u);
   server.Shutdown();
   EXPECT_EQ(server.Stats().predict_deadline_exceeded, 1u);
@@ -658,8 +675,6 @@ class ChaosBatteryTest : public ChaosServingTest {
 
     PredictionServiceOptions sopts;
     sopts.num_threads = workers;
-    sopts.max_batch_size = 8;
-    sopts.max_queue_delay_nanos = 200 * kMicrosecond;
     sopts.result_cache = &cache;
     sopts.fault_injector = &injector;
     PredictionService service(&registry, sopts);

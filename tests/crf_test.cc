@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -117,6 +118,73 @@ TEST(CrfTest, ViterbiSingleColumnIsArgmax) {
   int argmax = static_cast<int>(std::max_element(row.begin(), row.end()) -
                                 row.begin());
   EXPECT_EQ(path[0], argmax);
+}
+
+// Viterbi in its textbook per-state argmax order: for each state, scan
+// every predecessor and keep the first maximum. The parity oracle for the
+// decoder's row-sweeping loop order.
+std::vector<int> ReferenceViterbi(const LinearChainCrf& crf,
+                                  const nn::Matrix& unary) {
+  const size_t m = unary.rows();
+  const size_t k = static_cast<size_t>(crf.num_states());
+  nn::Matrix delta(m, k);
+  std::vector<std::vector<int>> backptr(m, std::vector<int>(k, 0));
+  for (size_t s = 0; s < k; ++s) delta(0, s) = unary(0, s);
+  for (size_t i = 1; i < m; ++i) {
+    for (size_t s = 0; s < k; ++s) {
+      double best = -std::numeric_limits<double>::infinity();
+      int best_prev = 0;
+      for (size_t prev = 0; prev < k; ++prev) {
+        double cand = delta(i - 1, prev) + crf.pairwise().value(prev, s);
+        if (cand > best) {
+          best = cand;
+          best_prev = static_cast<int>(prev);
+        }
+      }
+      delta(i, s) = best + unary(i, s);
+      backptr[i][s] = best_prev;
+    }
+  }
+  std::vector<int> path(m);
+  const double* last = delta.Row(m - 1);
+  path[m - 1] = static_cast<int>(std::max_element(last, last + k) - last);
+  for (size_t ii = m - 1; ii > 0; --ii) {
+    path[ii - 1] = backptr[ii][static_cast<size_t>(path[ii])];
+  }
+  return path;
+}
+
+// Rounds every entry to a multiple of `step`, so many candidate sums tie
+// exactly and the tie-breaking rule decides the path.
+void Quantize(nn::Matrix* matrix, double step) {
+  for (size_t r = 0; r < matrix->rows(); ++r) {
+    for (size_t c = 0; c < matrix->cols(); ++c) {
+      (*matrix)(r, c) = std::round((*matrix)(r, c) / step) * step;
+    }
+  }
+}
+
+// At Sato's 78 types and every table width from 1 to 24 columns, the
+// decoder returns exactly the reference path: on random potentials, and on
+// quantised ones where ties are everywhere.
+TEST(CrfTest, ViterbiMatchesThePerStateArgmaxReference) {
+  constexpr int kStates = 78;
+  util::Rng rng(78);
+  for (bool quantized : {false, true}) {
+    LinearChainCrf crf = RandomCrf(kStates, &rng);
+    if (quantized) Quantize(&crf.pairwise().value, 0.5);
+    for (size_t m = 1; m <= 24; ++m) {
+      nn::Matrix unary = RandomUnary(m, kStates, &rng);
+      if (quantized) Quantize(&unary, 0.5);
+      EXPECT_EQ(crf.Viterbi(unary), ReferenceViterbi(crf, unary))
+          << "columns " << m << (quantized ? " quantized" : " random");
+    }
+  }
+  // All-zero potentials: every path ties, first-max picks state 0.
+  LinearChainCrf flat(kStates);
+  nn::Matrix zeros(5, static_cast<size_t>(kStates));
+  EXPECT_EQ(flat.Viterbi(zeros), ReferenceViterbi(flat, zeros));
+  EXPECT_EQ(flat.Viterbi(zeros), std::vector<int>(5, 0));
 }
 
 TEST(CrfTest, MarginalsMatchBruteForce) {

@@ -302,7 +302,6 @@ class ServerTest : public ::testing::Test {
     if (with_cache) harness->cache = std::make_unique<ResultCache>();
     PredictionServiceOptions options;
     options.num_threads = 2;
-    options.max_batch_size = 8;
     options.result_cache = harness->cache.get();
     harness->service =
         std::make_unique<PredictionService>(&harness->registry, options);

@@ -1,9 +1,10 @@
 // Concurrency battery for the online serving frontend
-// (serve::PredictionService): multi-producer determinism under micro-
-// batching, fake-clock deadline behaviour (no real sleeps anywhere in this
-// suite), backpressure on the bounded admission queue, graceful shutdown
-// semantics, and RCU hot swap under live traffic (mid-stream publishes,
-// per-version determinism, bundle retirement, context re-binding).
+// (serve::PredictionService): multi-producer determinism, dispatch on
+// Submit with no timer anywhere on the request path (fake clocks, no real
+// sleeps anywhere in this suite), backpressure on the bounded admission
+// queue, graceful shutdown semantics, counter accounting, and RCU hot swap
+// under live traffic (mid-stream publishes, per-request version pinning,
+// bundle retirement, context re-binding).
 
 #include <algorithm>
 #include <memory>
@@ -22,8 +23,11 @@
 #include "serve/clock.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
+#include "serve/result_cache.h"
 #include "table/table.h"
 #include "util/rng.h"
+
+#include "gate_clock.h"
 
 namespace sato {
 namespace {
@@ -35,6 +39,7 @@ using serve::PredictionHandle;
 using serve::PredictionService;
 using serve::PredictionServiceOptions;
 using serve::RequestStatus;
+using testutil::GateClock;
 
 constexpr uint64_t kMillisecond = 1'000'000;  // service clocks run in nanos
 
@@ -83,7 +88,7 @@ class PredictionServiceTest : public ::testing::Test {
 
   /// The determinism oracle: a sequential SatoPredictor run over `table`
   /// with the request's own seed -- what every service response must be
-  /// byte-identical to, regardless of batching, scheduling or workers.
+  /// byte-identical to, regardless of scheduling or workers.
   static std::vector<TypeId> Sequential(const SatoModel& model,
                                         const Table& table, uint64_t seed) {
     SatoPredictor predictor(&model, context_, *scaler_);
@@ -102,11 +107,9 @@ class PredictionServiceTest : public ::testing::Test {
     return predictor.PredictTable(table, &rng);
   }
 
-  static PredictionServiceOptions FakeClockOptions(FakeClock* clock) {
+  static PredictionServiceOptions FakeClockOptions(serve::Clock* clock) {
     PredictionServiceOptions options;
     options.num_threads = 1;
-    options.max_batch_size = 8;
-    options.max_queue_delay_nanos = kMillisecond;
     options.clock = clock;
     return options;
   }
@@ -125,10 +128,11 @@ features::FeatureScaler* PredictionServiceTest::scaler_ = nullptr;
 // ------------------------------------------- multi-producer determinism ----
 
 // N client threads submit M requests each (random tables, per-request
-// splitmix64 seed streams) against every worker-count x batch-size
-// combination; every response must be byte-identical to the sequential
-// oracle. This is the determinism-under-batching contract: the coalescing
-// decisions differ wildly across these configs, the outputs may not.
+// splitmix64 seed streams) against every worker count, in bursts of 1, 4
+// or all M requests before the client collects its handles; every
+// response must be byte-identical to the sequential oracle. The queue
+// depth and the worker each request lands on differ wildly across these
+// configs, the outputs may not.
 TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
   constexpr size_t kClients = 4;
   constexpr size_t kPerClient = 10;
@@ -149,11 +153,9 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
   }
 
   for (size_t workers : {1u, 2u, 8u}) {
-    for (size_t batch : {1u, 4u, 32u}) {
+    for (size_t burst : {size_t{1}, size_t{4}, kPerClient}) {
       PredictionServiceOptions options;
       options.num_threads = workers;
-      options.max_batch_size = batch;
-      options.max_queue_delay_nanos = 200'000;  // 200 us, real clock
       PredictionService service(model, context_, *scaler_, options);
 
       std::vector<PredictionHandle> handles(kTotal);
@@ -166,6 +168,10 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
             handles[r] =
                 service.Submit((*tables_)[table_of[r]],
                                serve::BatchPredictor::TableSeed(kBase, r));
+            if ((j + 1) % burst == 0) {
+              // End of a burst: wait for it before submitting the next.
+              for (size_t k = r + 1 - burst; k <= r; ++k) handles[k].Get();
+            }
           }
         });
       }
@@ -174,9 +180,9 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
       for (size_t r = 0; r < kTotal; ++r) {
         const serve::PredictionResult& result = handles[r].Get();
         ASSERT_EQ(result.status, RequestStatus::kOk)
-            << "workers " << workers << " batch " << batch << " request " << r;
+            << "workers " << workers << " burst " << burst << " request " << r;
         EXPECT_EQ(result.type_ids, expected[r])
-            << "workers " << workers << " batch " << batch << " request " << r;
+            << "workers " << workers << " burst " << burst << " request " << r;
       }
       service.Shutdown();
 
@@ -185,88 +191,37 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
       EXPECT_EQ(stats.completed, kTotal);
       EXPECT_EQ(stats.rejected, 0u);
       EXPECT_EQ(stats.outstanding, 0u);
-      // The histogram accounts for every request, in batches <= the cap.
-      uint64_t requests_in_batches = 0;
-      uint64_t batch_count = 0;
-      ASSERT_EQ(stats.batch_size_histogram.size(), batch + 1);
-      for (size_t s = 0; s < stats.batch_size_histogram.size(); ++s) {
-        requests_in_batches += s * stats.batch_size_histogram[s];
-        batch_count += stats.batch_size_histogram[s];
-      }
-      EXPECT_EQ(requests_in_batches, kTotal);
-      EXPECT_EQ(batch_count, stats.batches);
-      EXPECT_EQ(stats.batch_size_histogram[0], 0u);
     }
   }
 }
 
-// ------------------------------------------------- fake-clock deadlines ----
+// ------------------------------------------------- dispatch on Submit ----
 
-// A lone request flushes exactly when its deadline is reached on the
-// injected clock: one nanosecond short leaves it queued, the final
-// nanosecond releases it. Its measured latency is then exactly the
-// max-queue-delay, which pins the latency stats as well.
-TEST_F(PredictionServiceTest, LoneRequestFlushesExactlyAtTheDeadline) {
+// A lone request completes on a FakeClock that is never advanced: nothing
+// on the request path waits on a timer. Its measured latency is exactly
+// zero on that clock, which pins the latency stats as well.
+TEST_F(PredictionServiceTest, LoneRequestCompletesWithoutTheClockMoving) {
   const SatoModel model = MakeModel(23);
   FakeClock clock;
   PredictionService service(model, context_, *scaler_,
                             FakeClockOptions(&clock));
 
   PredictionHandle handle = service.Submit((*tables_)[0], 5);
-  clock.AwaitWaiters(1);  // the batcher reached its deadline wait
-
-  clock.AdvanceNanos(kMillisecond - 1);
-  EXPECT_FALSE(handle.Done());  // one nanosecond short: still queued
-
-  clock.AdvanceNanos(1);  // exactly the deadline
   const serve::PredictionResult& result = handle.Get();
   EXPECT_EQ(result.status, RequestStatus::kOk);
   EXPECT_EQ(result.type_ids, Sequential(model, (*tables_)[0], 5));
-  EXPECT_EQ(result.latency_nanos, kMillisecond);
+  EXPECT_EQ(result.latency_nanos, 0u);
+  EXPECT_EQ(clock.NowNanos(), 0u);
 
   const serve::ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batch_size_histogram[1], 1u);
-  EXPECT_EQ(stats.latency_p50_nanos, kMillisecond);
-  EXPECT_EQ(stats.latency_p95_nanos, kMillisecond);
-  EXPECT_EQ(stats.latency_p99_nanos, kMillisecond);
-}
-
-// A full batch flushes immediately: the clock never advances, yet all
-// max_batch_size requests complete -- with zero queueing latency on the
-// service clock, and as one batch in the histogram.
-TEST_F(PredictionServiceTest, FullBatchFlushesImmediatelyWithoutWaiting) {
-  const SatoModel model = MakeModel(23);
-  FakeClock clock;
-  PredictionServiceOptions options = FakeClockOptions(&clock);
-  options.max_batch_size = 4;
-  options.num_threads = 2;
-  options.max_queue_delay_nanos = 1'000'000'000;  // irrelevantly far away
-  PredictionService service(model, context_, *scaler_, options);
-
-  std::vector<PredictionHandle> handles;
-  for (size_t i = 0; i < 4; ++i) {
-    handles.push_back(service.Submit(
-        (*tables_)[i], serve::BatchPredictor::TableSeed(3, i)));
-  }
-  for (size_t i = 0; i < 4; ++i) {
-    const serve::PredictionResult& result = handles[i].Get();
-    EXPECT_EQ(result.status, RequestStatus::kOk);
-    EXPECT_EQ(result.type_ids,
-              Sequential(model, (*tables_)[i],
-                         serve::BatchPredictor::TableSeed(3, i)));
-    EXPECT_EQ(result.latency_nanos, 0u);  // time never moved
-  }
-
-  const serve::ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batch_size_histogram[4], 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.latency_p50_nanos, 0u);
   EXPECT_EQ(stats.latency_p99_nanos, 0u);
 }
 
-// After Shutdown() no deadline wait survives: the fake clock has no
-// registered waiters, advancing time fires nothing, and new submissions
-// are turned away with kShutdown.
+// After Shutdown() nothing waits on the clock: the fake clock has no
+// parked waiters, advancing time fires nothing, and new submissions are
+// turned away with kShutdown.
 TEST_F(PredictionServiceTest, NoTimerFiresAfterShutdown) {
   const SatoModel model = MakeModel(23);
   FakeClock clock;
@@ -274,7 +229,6 @@ TEST_F(PredictionServiceTest, NoTimerFiresAfterShutdown) {
                             FakeClockOptions(&clock));
 
   PredictionHandle queued = service.Submit((*tables_)[1], 9);
-  clock.AwaitWaiters(1);
   service.Shutdown();  // drains: the queued request completes
 
   EXPECT_EQ(queued.Get().status, RequestStatus::kOk);
@@ -284,7 +238,6 @@ TEST_F(PredictionServiceTest, NoTimerFiresAfterShutdown) {
   const serve::ServiceStats before = service.Stats();
   clock.AdvanceNanos(100 * kMillisecond);  // nothing is listening
   const serve::ServiceStats after = service.Stats();
-  EXPECT_EQ(after.batches, before.batches);
   EXPECT_EQ(after.completed, before.completed);
 
   PredictionHandle late = service.Submit((*tables_)[1], 9);
@@ -298,17 +251,20 @@ TEST_F(PredictionServiceTest, NoTimerFiresAfterShutdown) {
 
 // Filling the bounded admission queue rejects overflow immediately (never
 // a hang or a crash), and completing the queued requests frees admission
-// slots again.
+// slots again. The single worker is held inside the first request, so the
+// other two wait in the pool queue.
 TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
   const SatoModel model = MakeModel(31);
-  FakeClock clock;
+  GateClock clock;
   PredictionServiceOptions options = FakeClockOptions(&clock);
-  options.max_batch_size = 16;   // larger than capacity: nothing flushes early
   options.queue_capacity = 3;
   PredictionService service(model, context_, *scaler_, options);
 
   std::vector<PredictionHandle> admitted;
-  for (size_t i = 0; i < 3; ++i) {
+  admitted.push_back(
+      service.Submit((*tables_)[0], serve::BatchPredictor::TableSeed(11, 0)));
+  clock.AwaitHeld();  // the worker is parked inside request 0
+  for (size_t i = 1; i < 3; ++i) {
     admitted.push_back(service.Submit(
         (*tables_)[i], serve::BatchPredictor::TableSeed(11, i)));
   }
@@ -323,9 +279,9 @@ TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.outstanding, 3u);
 
-  // Drain: the deadline releases the partial batch; every admitted
-  // request completes correctly despite the overflow in between.
-  clock.AdvanceNanos(kMillisecond);
+  // Drain: releasing the worker lets every admitted request complete
+  // correctly despite the overflow in between.
+  clock.Release();
   for (size_t i = 0; i < 3; ++i) {
     const serve::PredictionResult& result = admitted[i].Get();
     EXPECT_EQ(result.status, RequestStatus::kOk);
@@ -334,33 +290,32 @@ TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
                          serve::BatchPredictor::TableSeed(11, i)));
   }
 
-  // Admission has resumed: the next submit is queued, not rejected.
+  // Admission has resumed: the next submit is served, not rejected.
   PredictionHandle resumed = service.Submit((*tables_)[4], 2);
-  EXPECT_FALSE(resumed.Done());
-  clock.AdvanceNanos(kMillisecond);
   EXPECT_EQ(resumed.Get().status, RequestStatus::kOk);
   EXPECT_EQ(resumed.Get().type_ids, Sequential(model, (*tables_)[4], 2));
   EXPECT_EQ(service.Stats().rejected, 1u);  // the one overflow, no more
 }
 
-// Shutdown with requests still coalescing: every queued request completes
-// (with the correct bytes), and submissions after shutdown are rejected.
+// Shutdown with requests still queued behind a held worker: every queued
+// request completes (with the correct bytes), and submissions after
+// shutdown are rejected.
 TEST_F(PredictionServiceTest, ShutdownWhileQueuedCompletesQueuedRequests) {
   constexpr size_t kQueued = 6;
   const SatoModel model = MakeModel(31);
-  FakeClock clock;
-  PredictionServiceOptions options = FakeClockOptions(&clock);
-  options.max_batch_size = 64;  // never fills: requests sit on the deadline
-  options.num_threads = 2;
-  PredictionService service(model, context_, *scaler_, options);
+  GateClock clock;
+  PredictionService service(model, context_, *scaler_,
+                            FakeClockOptions(&clock));
 
   std::vector<PredictionHandle> handles;
   for (size_t i = 0; i < kQueued; ++i) {
     handles.push_back(service.Submit(
         (*tables_)[i], serve::BatchPredictor::TableSeed(13, i)));
+    if (i == 0) clock.AwaitHeld();  // the other five wait in the pool queue
   }
-  clock.AwaitWaiters(1);  // all six are pending in the batcher
-  service.Shutdown();
+  std::thread shutdown([&service] { service.Shutdown(); });
+  clock.Release();
+  shutdown.join();
 
   for (size_t i = 0; i < kQueued; ++i) {
     const serve::PredictionResult& result = handles[i].Get();
@@ -389,7 +344,6 @@ TEST_F(PredictionServiceTest, ResponsesCarryTheProducingModelVersion) {
 
   FakeClock clock;
   PredictionServiceOptions options = FakeClockOptions(&clock);
-  options.max_batch_size = 1;  // flush immediately
   options.queue_capacity = 1;
   PredictionService service(&registry, options);
 
@@ -413,7 +367,6 @@ TEST_F(PredictionServiceTest, ResponsesCarryTheProducingModelVersion) {
   if (rejected.status == RequestStatus::kRejected) {
     EXPECT_EQ(rejected.model_version, 0u);
   }
-  clock.AdvanceNanos(kMillisecond);
   service.Shutdown();
 }
 
@@ -472,13 +425,11 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
 
     PredictionServiceOptions options;
     options.num_threads = workers;
-    options.max_batch_size = 4;
-    options.max_queue_delay_nanos = 200'000;  // 200 us, real clock
     PredictionService service(&registry, options);
 
     // Publisher: rolls out B after a third of the stream completed and C
     // after two thirds. Closed-loop clients guarantee that requests are
-    // still being submitted after each publish, so later batches MUST pin
+    // still being submitted after each publish, so later requests MUST pin
     // the newer versions.
     std::thread publisher([&] {
       while (service.Stats().completed < kTotal / 3) {
@@ -529,8 +480,8 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
           << "workers " << workers << " request " << r << " version "
           << result.model_version;
     }
-    // The very first batch dispatched before any completion, hence on A;
-    // and each publish preceded at least a third of the submissions.
+    // The very first request was picked up before any completion, hence
+    // on A; and each publish preceded at least a third of the submissions.
     EXPECT_GE(on_first, 1u) << "workers " << workers;
     EXPECT_GE(on_later, 1u) << "workers " << workers;
 
@@ -538,7 +489,7 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
     const serve::ServiceStats stats = service.Stats();
     EXPECT_EQ(stats.completed, kTotal + 1);  // nothing dropped, nothing hung
     EXPECT_EQ(stats.rejected, 0u);
-    EXPECT_GE(stats.model_swaps, 2u);  // both publishes crossed dispatch
+    EXPECT_EQ(stats.model_swaps, 2u);  // each publish counted exactly once
 
     // Superseded and fully drained: the first bundle's last pin has
     // dropped, so it is gone -- and the registry refuses to revive it.
@@ -591,8 +542,6 @@ TEST_F(PredictionServiceTest, ContextSwapRebindsWorkerScratches) {
 
   PredictionServiceOptions options;
   options.num_threads = 2;
-  options.max_batch_size = 1;  // each submit flushes + executes immediately
-  options.max_queue_delay_nanos = 200'000;
   PredictionService service(&registry, options);
 
   auto roundtrip = [&](size_t i, uint64_t seed) -> serve::PredictionResult {
@@ -635,14 +584,89 @@ TEST_F(PredictionServiceTest, ContextSwapRebindsWorkerScratches) {
   EXPECT_EQ(service.Stats().model_swaps, 2u);
 }
 
+// The version is pinned per request, at pickup: a Publish between two
+// Submits gives each response its own version, and each response is
+// byte-identical to the sequential predictor on exactly that version.
+TEST_F(PredictionServiceTest, PublishBetweenSubmitsPinsEachRequestToItsVersion) {
+  const SatoModel model_a = MakeModel(61);
+  const SatoModel model_b = MakeModel(62);
+  ModelRegistry registry;
+  registry.PublishBorrowed(model_a, context_, *scaler_, "A");
+  FakeClock clock;
+  PredictionService service(&registry, FakeClockOptions(&clock));
+
+  const serve::PredictionResult first = service.Submit((*tables_)[2], 3).Get();
+  registry.PublishBorrowed(model_b, context_, *scaler_, "B");
+  const serve::PredictionResult second =
+      service.Submit((*tables_)[2], 3).Get();
+
+  ASSERT_EQ(first.status, RequestStatus::kOk);
+  ASSERT_EQ(second.status, RequestStatus::kOk);
+  EXPECT_EQ(first.model_version, 1u);
+  EXPECT_EQ(second.model_version, 2u);
+  EXPECT_EQ(first.type_ids, Sequential(model_a, (*tables_)[2], 3));
+  EXPECT_EQ(second.type_ids, Sequential(model_b, (*tables_)[2], 3));
+  EXPECT_EQ(service.Stats().model_swaps, 1u);
+}
+
+// Every Submit ends in exactly one counter: completed (served, failed,
+// shed, or a cache hit), rejected, or rejected_shutdown. Exercised with
+// all of them at once: cache hits, misses, overflow behind a held worker,
+// and submissions after Shutdown.
+TEST_F(PredictionServiceTest, CountersAddUpAcrossEveryOutcome) {
+  const SatoModel model = MakeModel(67);
+  serve::ResultCache cache;
+  GateClock clock;
+  PredictionServiceOptions options = FakeClockOptions(&clock);
+  options.queue_capacity = 2;
+  options.result_cache = &cache;
+  PredictionService service(model, context_, *scaler_, options);
+
+  std::vector<PredictionHandle> handles;
+  handles.push_back(service.Submit((*tables_)[0], 1));
+  clock.AwaitHeld();
+  handles.push_back(service.Submit((*tables_)[1], 2));
+  handles.push_back(service.Submit((*tables_)[2], 3));  // over capacity
+  handles.push_back(service.Submit((*tables_)[3], 4));  // over capacity
+  clock.Release();
+  for (const PredictionHandle& h : handles) h.Get();
+  handles.push_back(service.Submit((*tables_)[0], 1));  // cache hit
+  handles.push_back(service.Submit(Table(), 5));        // empty table
+  service.Shutdown();
+  handles.push_back(service.Submit((*tables_)[4], 6));  // after shutdown
+
+  size_t ok = 0, rejected = 0, shutdown = 0;
+  for (const PredictionHandle& h : handles) {
+    switch (h.Get().status) {
+      case RequestStatus::kOk: ++ok; break;
+      case RequestStatus::kRejected: ++rejected; break;
+      case RequestStatus::kShutdown: ++shutdown; break;
+      default: ADD_FAILURE() << serve::RequestStatusName(h.Get().status);
+    }
+  }
+  EXPECT_EQ(ok, 4u);
+  EXPECT_EQ(rejected, 2u);
+  EXPECT_EQ(shutdown, 1u);
+
+  const serve::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.submitted, handles.size());
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.rejected + stats.rejected_shutdown);
+  EXPECT_EQ(stats.accepted, stats.completed);
+  EXPECT_EQ(stats.completed, ok);
+  EXPECT_EQ(stats.rejected, rejected);
+  EXPECT_EQ(stats.rejected_shutdown, shutdown);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.outstanding, 0u);
+}
+
 // --------------------------------------------------------- small edges ----
 
 TEST_F(PredictionServiceTest, EmptyTableResolvesOkWithNoTypes) {
   const SatoModel model = MakeModel(23);
   FakeClock clock;
-  PredictionServiceOptions options = FakeClockOptions(&clock);
-  options.max_batch_size = 1;  // flushes immediately
-  PredictionService service(model, context_, *scaler_, options);
+  PredictionService service(model, context_, *scaler_,
+                            FakeClockOptions(&clock));
 
   PredictionHandle handle = service.Submit(Table(), 7);
   const serve::PredictionResult& result = handle.Get();
@@ -656,15 +680,12 @@ TEST_F(PredictionServiceTest, DestructorDrainsAdmittedRequests) {
   {
     PredictionServiceOptions options;  // real SteadyClock
     options.num_threads = 2;
-    options.max_batch_size = 4;
-    options.max_queue_delay_nanos = 50 * kMillisecond;
     PredictionService service(model, context_, *scaler_, options);
     for (size_t i = 0; i < 6; ++i) {
       handles.push_back(service.Submit(
           (*tables_)[i], serve::BatchPredictor::TableSeed(29, i)));
     }
-    // No Shutdown() call: the destructor must drain, well before the
-    // 50 ms deadline would have flushed the trailing partial batch.
+    // No Shutdown() call: the destructor must drain.
   }
   for (size_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(handles[i].Done());
@@ -680,7 +701,7 @@ TEST_F(PredictionServiceTest, ShutdownIsIdempotent) {
   PredictionServiceOptions options;
   PredictionService service(model, context_, *scaler_, options);
   service.Shutdown();
-  service.Shutdown();  // must not hang, crash, or double-join
+  service.Shutdown();  // must not hang or crash
   SUCCEED();
 }
 
@@ -706,18 +727,6 @@ TEST(FakeClockTest, AdvanceMovesTimeMonotonically) {
   clock.AdvanceNanos(5);
   clock.AdvanceNanos(7);
   EXPECT_EQ(clock.NowNanos(), 12u);
-  EXPECT_EQ(clock.waiter_count(), 0u);
-}
-
-TEST(FakeClockTest, WaitUntilReturnsImmediatelyPastDeadline) {
-  FakeClock clock;
-  clock.AdvanceNanos(100);
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::unique_lock<std::mutex> lock(mutex);
-  // Deadline already reached: must not block even with a false predicate.
-  EXPECT_FALSE(clock.WaitUntil(cv, lock, 50, [] { return false; }));
-  EXPECT_TRUE(clock.WaitUntil(cv, lock, 50, [] { return true; }));
   EXPECT_EQ(clock.waiter_count(), 0u);
 }
 
