@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 
 #include "bench/bench_common.h"
 #include "core/columnwise_model.h"
@@ -30,8 +29,6 @@
 #include "features/pipeline.h"
 #include "nn/gemm.h"
 #include "nn/loss.h"
-#include "serve/gemm_parallel_for.h"
-#include "serve/thread_pool.h"
 #include "topic/lda.h"
 #include "topic/table_document.h"
 #include "util/timer.h"
@@ -213,24 +210,6 @@ void BM_GemmBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBlocked)->Apply(GemmShapeArgs);
 
-void BM_GemmInt8(benchmark::State& state) {
-  size_t m = static_cast<size_t>(state.range(0));
-  size_t k = static_cast<size_t>(state.range(1));
-  size_t n = static_cast<size_t>(state.range(2));
-  nn::Matrix a = GemmArg(m, k, 7), b = GemmArg(k, n, 8), c;
-  nn::gemm::Config config = nn::gemm::DefaultConfig();
-  config.use_int8 = true;
-  for (auto _ : state) {
-    nn::gemm::Gemm(a, b, &c, config);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      2.0 * static_cast<double>(m * k * n) * 1e-9 *
-          static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_GemmInt8)->Apply(GemmShapeArgs);
-
 void BM_GemmReference(benchmark::State& state) {
   size_t m = static_cast<size_t>(state.range(0));
   size_t k = static_cast<size_t>(state.range(1));
@@ -308,21 +287,6 @@ double TimeGemmSeconds(const nn::Matrix& a, const nn::Matrix& b,
   return timer.ElapsedSeconds() / iters;
 }
 
-/// The serving-shaped int8 measurement: B (the weights) packed once
-/// outside the loop, as Linear::Apply does, so only the per-call A-side
-/// quantization and the integer kernel are on the clock.
-double TimePrepackedInt8Seconds(const nn::Matrix& a, const nn::Matrix& b,
-                                nn::Matrix* c,
-                                const nn::gemm::Config& config, int iters) {
-  nn::gemm::PackedInt8B packed = nn::gemm::PackInt8B(b);
-  nn::gemm::GemmPrepackedInt8(a, packed, c, config);  // warm-up
-  util::Timer timer;
-  for (int i = 0; i < iters; ++i) {
-    nn::gemm::GemmPrepackedInt8(a, packed, c, config);
-  }
-  return timer.ElapsedSeconds() / iters;
-}
-
 void WriteGemmJson(const char* path) {
   const bench::BenchScale scale = bench::GetScale();
   // FLOPs spent per (shape, kernel) measurement; keeps tiny CI smokes fast
@@ -331,13 +295,6 @@ void WriteGemmJson(const char* path) {
   if (scale.name == "small") flop_budget = 3e8;
   if (scale.name == "medium") flop_budget = 1e9;
   if (scale.name == "large") flop_budget = 3e9;
-
-  size_t threads = std::max(1u, std::thread::hardware_concurrency());
-  serve::ThreadPool pool(threads);
-  nn::gemm::Config parallel = nn::gemm::DefaultConfig();
-  parallel.parallel_for = serve::GemmParallelFor(&pool);
-  parallel.parallel_chunks = pool.num_threads();
-  parallel.parallel_min_columns = nn::gemm::kMicroCols;
 
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -348,16 +305,11 @@ void WriteGemmJson(const char* path) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"gemm\",\n");
   std::fprintf(f, "  \"scale\": \"%s\",\n", scale.name.c_str());
-  nn::gemm::Config int8 = cfg;
-  int8.use_int8 = true;
   std::fprintf(f, "  \"kernel\": \"%s\",\n", nn::gemm::KernelName().c_str());
-  std::fprintf(f, "  \"int8_kernel\": \"%s\",\n",
-               nn::gemm::KernelName(int8).c_str());
   std::fprintf(f, "  \"micro_tile\": {\"mr\": %zu, \"nr\": %zu},\n",
                nn::gemm::kMicroRows, nn::gemm::kMicroCols);
   std::fprintf(f, "  \"blocks\": {\"mc\": %zu, \"kc\": %zu, \"nc\": %zu},\n",
                cfg.mc, cfg.kc, cfg.nc);
-  std::fprintf(f, "  \"hardware_threads\": %zu,\n", threads);
   std::fprintf(f, "  \"results\": [\n");
 
   size_t count = sizeof(kGemmShapes) / sizeof(kGemmShapes[0]);
@@ -375,34 +327,21 @@ void WriteGemmJson(const char* path) {
     double naive = TimeGemmSeconds(a, b, &c, cfg, /*reference=*/true, iters);
     double blocked =
         TimeGemmSeconds(a, b, &c, cfg, /*reference=*/false, iters);
-    double par =
-        TimeGemmSeconds(a, b, &c, parallel, /*reference=*/false, iters);
-    double int8_sec =
-        TimeGemmSeconds(a, b, &c, int8, /*reference=*/false, iters);
-    double int8_pre_sec = TimePrepackedInt8Seconds(a, b, &c, int8, iters);
     std::fprintf(
         f,
         "    {\"role\": \"%s\", \"m\": %zu, \"k\": %zu, \"n\": %zu, "
         "\"iters\": %d,\n"
         "     \"naive_sec\": %.6g, \"blocked_sec\": %.6g, "
         "\"speedup\": %.2f,\n"
-        "     \"naive_gflops\": %.2f, \"blocked_gflops\": %.2f,\n"
-        "     \"int8_sec\": %.6g, \"int8_speedup_vs_blocked\": %.2f,\n"
-        "     \"int8_prepacked_sec\": %.6g, "
-        "\"int8_prepacked_speedup_vs_blocked\": %.2f,\n"
-        "     \"parallel_threads\": %zu, \"parallel_sec\": %.6g, "
-        "\"parallel_speedup\": %.2f}%s\n",
+        "     \"naive_gflops\": %.2f, \"blocked_gflops\": %.2f}%s\n",
         shape.role, m, k, n, iters, naive, blocked, naive / blocked,
-        flops * 1e-9 / naive, flops * 1e-9 / blocked, int8_sec,
-        blocked / int8_sec, int8_pre_sec, blocked / int8_pre_sec, threads,
-        par, naive / par, s + 1 < count ? "," : "");
+        flops * 1e-9 / naive, flops * 1e-9 / blocked,
+        s + 1 < count ? "," : "");
     std::fprintf(stderr,
                  "bench_micro gemm: %-20s %4zux%4zux%4zu  naive %8.3f ms  "
-                 "blocked %8.3f ms  speedup %.2fx  int8 %8.3f ms (%.2fx vs "
-                 "blocked)  int8-prepacked %8.3f ms (%.2fx)\n",
+                 "blocked %8.3f ms  speedup %.2fx\n",
                  shape.role, m, k, n, naive * 1e3, blocked * 1e3,
-                 naive / blocked, int8_sec * 1e3, blocked / int8_sec,
-                 int8_pre_sec * 1e3, blocked / int8_pre_sec);
+                 naive / blocked);
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

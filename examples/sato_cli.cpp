@@ -7,8 +7,6 @@
 //                                           ignored for prediction)
 //   sato_cli eval <bundle>                  evaluate the bundle on a freshly
 //                                           generated held-out corpus
-//   sato_cli serve-sim <bundle>             drive the online PredictionService
-//                                           with closed-loop simulated clients
 //   sato_cli types                          list the supported types
 //
 // Options for `train`: --tables N, --topics K, --epochs E, --variant
@@ -16,30 +14,13 @@
 //
 // `predict` and `eval` accept --jobs N to decode tables on N worker
 // threads through the BatchPredictor; output is identical for any N.
-//
-// `predict`, `eval` and `serve-sim` accept --int8 to request the
-// quantized GEMM inference path. The request is gated: the CLI first
-// evaluates the bundle on a held-out synthetic corpus with the fp64 and
-// the int8 kernels and only selects int8 when the macro-F1 degradation
-// is within --int8-epsilon (default 0.01); otherwise it warns and stays
-// on fp64. See eval::RunInt8AccuracyGate.
-//
-// `serve-sim` accepts --jobs N (prediction workers), --clients C
-// (concurrent closed-loop clients), --capacity Q (admission bound) and
-// --swap-every N (publish a new model version to the registry every N
-// submissions, exercising the RCU hot-swap path under live traffic). It
-// reports latency percentiles and the per-version served counts, then
-// audits every response against a sequential SatoPredictor run on its
-// reported model version -- the online determinism contract, per version.
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/dataset.h"
@@ -50,10 +31,8 @@
 #include "core/trainer.h"
 #include "corpus/generator.h"
 #include "eval/model_eval.h"
-#include "nn/gemm.h"
 #include "serve/batch_predictor.h"
 #include "serve/model_registry.h"
-#include "serve/prediction_service.h"
 #include "util/timer.h"
 
 using namespace sato;
@@ -65,13 +44,8 @@ int Usage() {
                "usage:\n"
                "  sato_cli train <bundle> [--tables N] [--topics K] [--epochs E]\n"
                "                 [--variant base|notopic|nostruct|full] [--seed S]\n"
-               "  sato_cli predict <bundle> [--jobs N] [--int8]\n"
-               "                 [--int8-epsilon E] <table.csv>...\n"
+               "  sato_cli predict <bundle> [--jobs N] <table.csv>...\n"
                "  sato_cli eval <bundle> [--tables N] [--seed S] [--jobs N]\n"
-               "                 [--int8] [--int8-epsilon E]\n"
-               "  sato_cli serve-sim <bundle> [--tables N] [--seed S] [--jobs N]\n"
-               "                 [--clients C] [--capacity Q] [--swap-every N]\n"
-               "                 [--int8] [--int8-epsilon E]\n"
                "  sato_cli types\n");
   return 2;
 }
@@ -82,11 +56,6 @@ struct Flags {
   int epochs = 25;
   uint64_t seed = 7;
   int jobs = 1;
-  int clients = 4;        // serve-sim: concurrent closed-loop clients
-  int capacity = 1024;    // serve-sim: bounded admission queue
-  int swap_every = 0;     // serve-sim: publish a new version every N submits
-  bool int8 = false;      // request the quantized GEMM path (gated)
-  double int8_epsilon = 0.01;  // largest acceptable macro-F1 degradation
   SatoVariant variant = SatoVariant::kFull;
 };
 
@@ -121,28 +90,6 @@ bool ParseFlags(int argc, char** argv, int start, Flags* flags,
       if (v == nullptr) return false;
       flags->jobs = std::atoi(v);
       if (flags->jobs < 1) return false;
-    } else if (arg == "--clients") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      flags->clients = std::atoi(v);
-      if (flags->clients < 1) return false;
-    } else if (arg == "--capacity") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      flags->capacity = std::atoi(v);
-      if (flags->capacity < 1) return false;
-    } else if (arg == "--swap-every") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      flags->swap_every = std::atoi(v);
-      if (flags->swap_every < 0) return false;
-    } else if (arg == "--int8") {
-      flags->int8 = true;
-    } else if (arg == "--int8-epsilon") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      flags->int8_epsilon = std::strtod(v, nullptr);
-      if (flags->int8_epsilon < 0.0) return false;
     } else if (arg == "--variant") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -245,40 +192,6 @@ std::shared_ptr<const serve::ModelBundle> PublishLoaded(
                            sato->manifest.tag);
 }
 
-// Gated selection of the quantized GEMM path. Evaluates the bundle on a
-// freshly generated held-out corpus (seed-disjoint from training and from
-// the command's own tables) with fp64 and with int8; only a macro-F1
-// degradation within --int8-epsilon switches the process default config
-// to int8. On failure the fp64 path stays selected and we warn -- the
-// command still runs, just unquantized.
-void MaybeSelectInt8(const std::shared_ptr<const serve::ModelBundle>& bundle,
-                     const Flags& flags) {
-  if (!flags.int8) return;
-  corpus::CorpusOptions copts;
-  copts.num_tables = 100;
-  copts.seed = flags.seed + 777777;
-  corpus::CorpusGenerator generator(copts);
-  auto gate_tables = corpus::FilterMultiColumn(generator.Generate());
-  eval::Int8GateResult gate = eval::RunInt8AccuracyGate(
-      bundle, gate_tables, /*seed=*/2, flags.int8_epsilon);
-  if (gate.passed) {
-    nn::gemm::Config config = nn::gemm::DefaultConfig();
-    config.use_int8 = true;
-    nn::gemm::SetDefaultConfig(config);
-    std::fprintf(stderr,
-                 "int8 gate PASSED (fp64 macro-F1 %.4f, int8 %.4f, delta "
-                 "%.4f <= epsilon %.4f): serving quantized kernel %s\n",
-                 gate.fp64_macro_f1, gate.int8_macro_f1, gate.delta,
-                 gate.epsilon, nn::gemm::KernelName().c_str());
-  } else {
-    std::fprintf(stderr,
-                 "WARNING: int8 gate FAILED (fp64 macro-F1 %.4f, int8 %.4f, "
-                 "delta %.4f > epsilon %.4f): staying on fp64\n",
-                 gate.fp64_macro_f1, gate.int8_macro_f1, gate.delta,
-                 gate.epsilon);
-  }
-}
-
 int CmdPredict(const std::string& bundle_path,
                const std::vector<std::string>& csv_paths, const Flags& flags) {
   const int jobs = flags.jobs;
@@ -314,7 +227,6 @@ int CmdPredict(const std::string& bundle_path,
   serve::ModelRegistry registry;
   std::shared_ptr<const serve::ModelBundle> bundle =
       PublishLoaded(&registry, &sato);
-  MaybeSelectInt8(bundle, flags);
   std::vector<std::vector<std::string>> names;
   if (jobs == 1) {
     names.reserve(tables.size());
@@ -357,7 +269,6 @@ int CmdEval(const std::string& bundle_path, const Flags& flags) {
   serve::ModelRegistry registry;
   std::shared_ptr<const serve::ModelBundle> bundle =
       PublishLoaded(&registry, &sato);
-  MaybeSelectInt8(bundle, flags);
   eval::EvaluationResult result;
   size_t columns = 0;
   if (flags.jobs == 1) {
@@ -386,125 +297,6 @@ int CmdEval(const std::string& bundle_path, const Flags& flags) {
   return 0;
 }
 
-// Closed-loop load simulation against the online serving frontend: each of
-// --clients threads owns an interleaved slice of the corpus and submits its
-// next table only after the previous response arrived, so the offered
-// concurrency is exactly --clients. With --swap-every N, every Nth submit
-// publishes a new registry version (same weights, new version id), so the
-// hot-swap path runs under the live load. Afterwards every response is
-// audited against a sequential SatoPredictor run with the same per-request
-// seed on its reported model version -- the determinism contract, per
-// version, end to end on a real clock.
-int CmdServeSim(const std::string& bundle_path, const Flags& flags) {
-  LoadedSato sato = LoadBundleOrDie(bundle_path);
-  corpus::CorpusOptions copts;
-  copts.num_tables = std::max<size_t>(flags.tables / 4, 100);
-  copts.seed = flags.seed + 515151;  // disjoint from any training seed
-  corpus::CorpusGenerator generator(copts);
-  auto tables = corpus::FilterMultiColumn(generator.Generate());
-
-  serve::ModelRegistry registry;
-  std::shared_ptr<const serve::ModelBundle> bundle =
-      PublishLoaded(&registry, &sato);
-  // Select before workers start -- SetDefaultConfig is unsynchronised, and
-  // the audit below re-predicts through the same process default, so both
-  // sides of the determinism check run the same kernel.
-  MaybeSelectInt8(bundle, flags);
-
-  serve::PredictionServiceOptions options;
-  options.num_threads = static_cast<size_t>(flags.jobs);
-  options.queue_capacity = static_cast<size_t>(flags.capacity);
-  serve::PredictionService service(&registry, options);
-
-  constexpr uint64_t kSimSeed = 1;
-  const size_t num_clients = static_cast<size_t>(flags.clients);
-  std::vector<serve::PredictionResult> responses(tables.size());
-  std::atomic<uint64_t> submitted{0};
-  util::Timer timer;
-  std::vector<std::thread> clients;
-  clients.reserve(num_clients);
-  for (size_t c = 0; c < num_clients; ++c) {
-    clients.emplace_back([&, c] {
-      for (size_t i = c; i < tables.size(); i += num_clients) {
-        // Republish every Nth submission: in this simulation the "new"
-        // version shares the weights (there is one trained model on disk),
-        // so the audit below can use one oracle for every version while
-        // still exercising publish/pin/attribution under live traffic.
-        if (flags.swap_every > 0 &&
-            ++submitted % static_cast<uint64_t>(flags.swap_every) == 0) {
-          registry.Publish(bundle->model_ptr(), bundle->context_ptr(),
-                           bundle->scaler());
-        }
-        serve::PredictionHandle handle = service.Submit(
-            tables[i], serve::BatchPredictor::TableSeed(kSimSeed, i));
-        responses[i] = handle.Get();
-      }
-    });
-  }
-  for (auto& client : clients) client.join();
-  double seconds = timer.ElapsedSeconds();
-  service.Shutdown();
-  serve::ServiceStats stats = service.Stats();
-  const uint64_t published = registry.current_version();
-
-  // Per-version determinism audit: every kOk response must report a
-  // version the registry actually published, and must be byte-identical
-  // to the sequential predictor with the same seed on those weights.
-  size_t mismatches = 0;
-  size_t bad_versions = 0;
-  size_t ok = 0;
-  std::vector<size_t> per_version(published + 1, 0);
-  for (size_t i = 0; i < tables.size(); ++i) {
-    if (responses[i].status != serve::RequestStatus::kOk) continue;
-    ++ok;
-    if (responses[i].model_version == 0 ||
-        responses[i].model_version > published) {
-      ++bad_versions;
-      continue;
-    }
-    ++per_version[responses[i].model_version];
-    util::Rng rng(serve::BatchPredictor::TableSeed(kSimSeed, i));
-    if (responses[i].type_ids !=
-        bundle->predictor().PredictTable(tables[i], &rng)) {
-      ++mismatches;
-    }
-  }
-
-  std::printf("serve-sim: %zu tables, %zu clients, %d workers, "
-              "capacity %d, swap-every %d\n",
-              tables.size(), num_clients, flags.jobs, flags.capacity,
-              flags.swap_every);
-  std::printf("  completed %llu (ok %zu), rejected %llu, throughput %.1f "
-              "tables/sec\n",
-              static_cast<unsigned long long>(stats.completed), ok,
-              static_cast<unsigned long long>(stats.rejected),
-              static_cast<double>(stats.completed) / seconds);
-  std::printf("  versions published %llu, swaps observed %llu, served by "
-              "version:",
-              static_cast<unsigned long long>(published),
-              static_cast<unsigned long long>(stats.model_swaps));
-  for (uint64_t v = 1; v <= published; ++v) {
-    if (per_version[v] == 0) continue;
-    std::printf(" v%llu=%zu", static_cast<unsigned long long>(v),
-                per_version[v]);
-  }
-  std::printf("\n");
-  std::printf("  latency p50 %.3fms  p95 %.3fms  p99 %.3fms\n",
-              static_cast<double>(stats.latency_p50_nanos) / 1e6,
-              static_cast<double>(stats.latency_p95_nanos) / 1e6,
-              static_cast<double>(stats.latency_p99_nanos) / 1e6);
-  if (mismatches != 0 || bad_versions != 0) {
-    std::printf("  determinism check FAILED: %zu/%zu responses differ from "
-                "the sequential predictor, %zu report unpublished versions\n",
-                mismatches, ok, bad_versions);
-    return 1;
-  }
-  std::printf("  determinism check OK: %zu/%zu responses byte-identical to "
-              "the sequential predictor, all versions published\n",
-              ok, ok);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -530,12 +322,6 @@ int main(int argc, char** argv) {
     Flags flags;
     if (!ParseFlags(argc, argv, 3, &flags)) return Usage();
     return CmdEval(argv[2], flags);
-  }
-  if (command == "serve-sim") {
-    if (argc < 3) return Usage();
-    Flags flags;
-    if (!ParseFlags(argc, argv, 3, &flags)) return Usage();
-    return CmdServeSim(argv[2], flags);
   }
   return Usage();
 }

@@ -2,7 +2,6 @@
 #define SATO_NN_GEMM_H_
 
 #include <cstddef>
-#include <functional>
 #include <string>
 
 #include "nn/matrix.h"
@@ -23,21 +22,14 @@ namespace sato::nn::gemm {
 /// four MatMul routings share one kernel.
 ///
 /// Numerical contract: for one (M, N, K, Config) the result is a pure
-/// function of the inputs -- bitwise deterministic, on any thread count
-/// (see Config::parallel_for). Different block sizes regroup the
-/// k-accumulation and may differ from the reference kernel by normal
-/// floating-point rounding (~1e-15 relative; tests allow 1e-12).
+/// function of the inputs -- bitwise deterministic on any thread.
+/// Different block sizes regroup the k-accumulation and may differ from
+/// the reference kernel by normal floating-point rounding (~1e-15
+/// relative; tests allow 1e-12).
 ///
 /// Thread-safety: every function here is re-entrant; scratch packing
 /// buffers are thread_local and recycled across calls (no steady-state
 /// allocation on the serving hot path, matching the Workspace design).
-
-/// Barrier-style parallel-for: run fn(chunk) for every chunk in
-/// [0, count) and return only once all calls have completed. The chunks
-/// are independent (disjoint column ranges of C) and may execute in any
-/// order on any thread, including the caller's.
-using ParallelFor =
-    std::function<void(size_t count, const std::function<void(size_t)>& fn)>;
 
 /// Register micro-tile height (rows of C per micro-kernel call).
 inline constexpr size_t kMicroRows = 4;
@@ -45,8 +37,9 @@ inline constexpr size_t kMicroRows = 4;
 inline constexpr size_t kMicroCols = 8;
 
 /// Kernel tuning knobs. The defaults were measured on the serving
-/// container (see docs/BENCHMARKS.md); all values are free to change at
-/// runtime -- correctness never depends on them.
+/// container (see docs/BENCHMARKS.md). Callers that want other values
+/// (the kernel-parity tests, the microbenchmarks) pass a Config
+/// explicitly; the process-wide DefaultConfig() never changes.
 struct Config {
   // -- cache blocking -------------------------------------------------------
   size_t mc = 64;   ///< rows of A per packed strip (L1-resident with kc)
@@ -68,92 +61,19 @@ struct Config {
   /// by SATO_DISABLE_CPU_DISPATCH=1 in the environment (see
   /// util::CpuDispatchDisabledByEnv), which DefaultConfig() honours.
   bool enable_cpu_dispatch = true;
-
-  /// Quantized inference path: op(A) is quantized to int8 per ROW and
-  /// op(B) per COLUMN (symmetric absmax scaling, q = lrint(x * 127 /
-  /// absmax) clamped to [-127, 127]), the k-accumulation runs in exact
-  /// int32 arithmetic (madd-style int16-pair micro-kernel under AVX2),
-  /// and each output dequantizes once: c[i,j] = acc * scale_a[i] *
-  /// scale_b[j]. Roughly half the packed-panel bandwidth of the fp64
-  /// path at ~1e-2 relative accuracy -- an APPROXIMATION, so eval gates
-  /// it behind a macro-F1 parity check before serving selects it (see
-  /// eval::RunInt8AccuracyGate). Because the accumulators are integers,
-  /// the result is bitwise identical across kernels (scalar vs AVX2),
-  /// thread counts and blocking -- flipping enable_cpu_dispatch or
-  /// parallel_for never changes an int8 result. `use_reference` takes
-  /// precedence; k above ~131k falls back to the fp64 blocked path (the
-  /// int32 accumulator bound k * 127^2 < 2^31).
-  bool use_int8 = false;
-
-  // -- optional column parallelism ------------------------------------------
-  /// When set, C's columns are split into contiguous chunks (aligned to
-  /// kMicroCols) and computed through this barrier. Each output element is
-  /// written by exactly one chunk with an execution-order-independent
-  /// accumulation order, so the result is byte-identical to the serial
-  /// path for ANY chunk count or thread count. Leave empty for serial.
-  ///
-  /// serve::GemmParallelFor adapts a serve::ThreadPool to this signature.
-  /// CAUTION: never invoke a pool-backed ParallelFor from inside a task of
-  /// the same pool -- ThreadPool::Wait is a global barrier and would
-  /// deadlock. The BatchPredictor already parallelises across tables, so
-  /// its workers must (and do) run the serial kernel.
-  ParallelFor parallel_for;
-
-  /// Number of column chunks handed to parallel_for; 0 derives one chunk
-  /// per `nc` slab. Callers that know their pool width typically set this
-  /// to the worker count.
-  size_t parallel_chunks = 0;
-
-  /// Matrices with fewer output columns than this run serially even when
-  /// parallel_for is set (the barrier costs more than the FLOPs saved).
-  size_t parallel_min_columns = 128;
 };
 
-/// Largest shared dimension the int8 path accepts (the int32 accumulator
-/// bound k * 127^2 < 2^31). Gemm silently runs the fp64 blocked path past
-/// it; PackInt8B refuses, so a prepack caller must check first.
-inline constexpr size_t kInt8MaxSharedDim = size_t{1} << 17;
-
-/// One matrix quantized per column and packed into micro-kernel panels
-/// once, for reuse as the B (weight) operand across many GemmPrepackedInt8
-/// calls. Quantizing and packing B is O(k * n) scalar work -- with small
-/// activation batches it dominates the whole multiply, so serving packs
-/// each layer's frozen weights one time instead of per call. The contents
-/// are a pure function of the matrix values, so any two packs of equal
-/// matrices are interchangeable.
-struct PackedInt8B {
-  size_t k = 0;                   ///< shared dimension (rows of B)
-  size_t n = 0;                   ///< output columns
-  const double* source = nullptr; ///< data pointer B was packed from (cache key
-                                  ///< only -- never dereferenced)
-  std::vector<int16_t> panels;    ///< NR-column k-pair panels (see gemm.cc)
-  std::vector<double> col_scale;  ///< per-column dequantization scales
-};
-
-/// Quantizes + packs `b` [k, n] for the B side of GemmPrepackedInt8.
-/// Throws std::invalid_argument when k exceeds kInt8MaxSharedDim.
-PackedInt8B PackInt8B(const Matrix& b);
-
-/// C = A * B with B prepacked: bitwise identical to Gemm(a, b, c) under
-/// `use_int8` for the matrix `packed` was built from, at O(m * k) packing
-/// cost per call instead of O(m * k + k * n). Ignores `use_int8` /
-/// `use_reference` (the caller already chose the quantized path).
-void GemmPrepackedInt8(const Matrix& a, const PackedInt8B& packed, Matrix* c,
-                       const Config& config);
-
-/// Process-wide configuration used by the MatMul* wrappers in matrix.h.
-/// Defaults to the serial blocked kernel with CPU dispatch enabled.
+/// Process-wide configuration used by the MatMul* wrappers in matrix.h:
+/// the blocked kernel with the default blocking, CPU dispatch enabled
+/// unless SATO_DISABLE_CPU_DISPATCH=1. Computed once on first use and
+/// immutable afterwards, so every prediction in a process runs the same
+/// arithmetic.
 const Config& DefaultConfig();
 
-/// Replaces the process-wide default. Not synchronised: call during
-/// startup, before concurrent inference begins (the serving determinism
-/// guarantee assumes every worker sees the same Config).
-void SetDefaultConfig(const Config& config);
-
 /// Human-readable name of the micro-kernel `config` would run with on this
-/// host: "reference", "blocked-generic", "blocked-avx2fma", "int8-generic"
-/// or "int8-avx2". Surfaced in BENCH_gemm.json / BENCH_serve.json so perf
-/// datapoints are self-describing.
+/// host: "reference", "blocked-generic" or "blocked-avx2fma". Surfaced in
+/// BENCH_gemm.json / BENCH_serve.json so perf datapoints are
+/// self-describing.
 std::string KernelName(const Config& config = DefaultConfig());
 
 // -- blocked entry points ---------------------------------------------------

@@ -38,7 +38,7 @@ class ThreadPool {
   /// pool: the first escaped exception_ptr is captured and rethrown by
   /// the next Wait() (later escapes before that Wait are dropped).
   /// Callers that need per-batch attribution still capture their own
-  /// errors inside the task, as the BatchPredictor and GemmParallelFor do.
+  /// errors inside the task, as the BatchPredictor does.
   void Submit(std::function<void(size_t worker)> task);
 
   /// Blocks until all submitted tasks have completed, then rethrows the
@@ -61,10 +61,6 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
-
-// serve/gemm_parallel_for.h adapts a ThreadPool to the GEMM kernel's
-// column-parallel barrier (kept out of this header so ThreadPool
-// consumers don't depend on the nn/gemm.h API).
 
 }  // namespace sato::serve
 

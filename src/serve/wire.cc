@@ -606,13 +606,6 @@ uint64_t Client::SendPredict(const Table& table, uint64_t seed) {
   return SendFrame(Opcode::kPredict, payload);
 }
 
-uint64_t Client::SendCorrection(std::string_view column_name, TypeId type,
-                                uint64_t model_version) {
-  std::string payload;
-  EncodeCorrectionPayload(column_name, type, model_version, &payload);
-  return SendFrame(Opcode::kCorrection, payload);
-}
-
 ClientResponse Client::ReadResponse() {
   ClientResponse response;
   if (fd_ < 0) {

@@ -319,8 +319,6 @@ class Client {
   /// policy deadline as its budget.
   uint64_t SendPing();
   uint64_t SendPredict(const Table& table, uint64_t seed);
-  uint64_t SendCorrection(std::string_view column_name, TypeId type,
-                          uint64_t model_version);
 
   /// Reads exactly one response frame.
   ClientResponse ReadResponse();

@@ -11,7 +11,6 @@
 #include "nn/activations.h"
 #include "nn/batch_norm.h"
 #include "nn/dropout.h"
-#include "nn/gemm.h"
 #include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
@@ -170,55 +169,6 @@ TEST(LinearTest, GradientCheckWeightsBiasInput) {
     EXPECT_NEAR(grad_input.data()[i], numeric, kTol) << "input[" << i << "]";
   }
 }
-
-TEST(LinearTest, Int8ApplyCacheTracksWeightChanges) {
-  // Under the int8 default config, Apply reuses a prepacked quantization
-  // of the weights; the cache must never outlive the weights it was built
-  // from -- across training touches, in-place optimiser-style updates and
-  // wholesale parameter loads.
-  struct ConfigGuard {
-    gemm::Config saved = gemm::DefaultConfig();
-    ~ConfigGuard() { gemm::SetDefaultConfig(saved); }
-  } guard;
-  gemm::Config int8 = guard.saved;
-  int8.use_int8 = true;
-  gemm::SetDefaultConfig(int8);
-
-  util::Rng rng(7);
-  Linear layer(24, 16, &rng);
-  Matrix x = Matrix::Gaussian(3, 24, 1.0, &rng);
-  Workspace ws;
-
-  auto expected = [&] {
-    Matrix e;
-    gemm::Gemm(x, layer.weight().value, &e, int8);
-    e.AddRowVectorInPlace(layer.bias().value);
-    return e;
-  };
-
-  Matrix y1 = layer.Apply(x, &ws);
-  EXPECT_EQ(y1, expected());
-  Matrix y2 = layer.Apply(x, &ws);  // served from the cache
-  EXPECT_EQ(y2, y1);
-
-  // Training touch + in-place update (what an optimiser step does).
-  layer.Forward(x, true);
-  layer.Backward(Matrix(3, 16, 1.0));
-  for (size_t i = 0; i < layer.weight().value.size(); ++i) {
-    layer.weight().value.data()[i] += 0.25;
-  }
-  EXPECT_EQ(layer.Apply(x, &ws), expected());
-
-  // Wholesale replacement through the serialization path.
-  util::Rng rng2(8);
-  Linear other(24, 16, &rng2);
-  std::stringstream ss;
-  SaveParameters(other.Parameters(), &ss);
-  LoadParameters(layer.Parameters(), &ss);
-  EXPECT_EQ(layer.Apply(x, &ws), expected());
-}
-
-// -------------------------------------------------------- activations ----
 
 TEST(ReLUTest, ForwardClampsNegatives) {
   ReLU relu;

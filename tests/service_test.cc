@@ -7,6 +7,7 @@
 // bundle retirement, context re-binding).
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -427,18 +428,33 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
     options.num_threads = workers;
     PredictionService service(&registry, options);
 
-    // Publisher: rolls out B after a third of the stream completed and C
-    // after two thirds. Closed-loop clients guarantee that requests are
-    // still being submitted after each publish, so later requests MUST pin
-    // the newer versions.
+    // The rollout is ordered by construction, so the test observes exactly
+    // two swaps on any schedule. Each client submits its first third on A,
+    // holds its middle third until B is published and its last third
+    // until C is published. The publisher rolls out B once the first
+    // thirds have completed, and C only once a worker has pinned B (a
+    // swap is recorded). Without those gates B and C could both land
+    // before any worker pinned B, and the dispatch path would cross a
+    // single swap. Every wait is bounded, so a broken premise fails the
+    // test instead of hanging it.
+    auto wait_until = [](const char* what, auto&& done) {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (!done()) {
+        if (std::chrono::steady_clock::now() > give_up) {
+          ADD_FAILURE() << "timed out waiting for " << what;
+          return;
+        }
+        std::this_thread::yield();
+      }
+    };
     std::thread publisher([&] {
-      while (service.Stats().completed < kTotal / 3) {
-        std::this_thread::yield();
-      }
+      wait_until("the first third to complete", [&] {
+        return service.Stats().completed >= kTotal / 3;
+      });
       registry.PublishBorrowed(model_b, context_, *scaler_, "B");
-      while (service.Stats().completed < 2 * kTotal / 3) {
-        std::this_thread::yield();
-      }
+      wait_until("a worker to pin B",
+                 [&] { return service.Stats().model_swaps >= 1; });
       registry.PublishBorrowed(model_c, context_, *scaler_, "C");
     });
 
@@ -448,6 +464,10 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
     for (size_t c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
         for (size_t j = 0; j < kPerClient; ++j) {
+          const uint64_t version = 1 + 3 * j / kPerClient;  // A, B, C
+          wait_until("a version to be published", [&] {
+            return registry.current_version() >= version;
+          });
           const size_t r = c * kPerClient + j;
           handles[r] =
               service.Submit((*tables_)[table_of[r]],
@@ -480,8 +500,8 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
           << "workers " << workers << " request " << r << " version "
           << result.model_version;
     }
-    // The very first request was picked up before any completion, hence
-    // on A; and each publish preceded at least a third of the submissions.
+    // The first thirds were all served before B was published, hence on
+    // A; the last thirds were all submitted after C was published.
     EXPECT_GE(on_first, 1u) << "workers " << workers;
     EXPECT_GE(on_later, 1u) << "workers " << workers;
 
