@@ -1,18 +1,16 @@
 // Throughput benchmark for the serving subsystem: offline batch
-// prediction over synthetic corpus tables at increasing worker counts
-// (tables/s, columns/s, speedup over the single-thread run), plus an
-// online mode that drives the PredictionService with closed-loop
-// simulated clients and reports request latency percentiles and the
-// rejected-request count.
+// prediction (serve::PredictAll) over synthetic corpus tables at
+// increasing worker counts (tables/s, columns/s, speedup over the
+// single-thread run), plus an online mode that drives the
+// PredictionService with closed-loop simulated clients and reports
+// request latency percentiles and the rejected-request count.
 //
 // The model is architecture-complete but untrained (training changes the
 // weights, not the FLOPs), so the numbers isolate the featurise +
-// forward + Viterbi serving path the BatchPredictor parallelises. Every
-// worker shares the one model through the const Apply() path; the
-// benchmark also reports the memory the shared design costs (model +
-// per-worker workspaces) against what per-worker replicas would have
-// cost, and writes the whole result table to BENCH_serve.json so the
-// serving perf trajectory is machine-readable across commits.
+// forward + Viterbi serving path the PredictionService parallelises.
+// Every worker shares the one model through the const Apply() path. The
+// whole result table goes to BENCH_serve.json so the serving perf
+// trajectory is machine-readable across commits.
 
 #include <algorithm>
 #include <atomic>
@@ -29,7 +27,6 @@
 #include "core/predictor.h"
 #include "features/config.h"
 #include "nn/gemm.h"
-#include "serve/batch_predictor.h"
 #include "serve/fault_injector.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
@@ -51,19 +48,26 @@ struct BenchFlags {
   bool online_only = false;  ///< --online: skip the offline batch sweep
 };
 
+/// The benchmarked model, owned so that every phase can publish it into
+/// a registry of its own.
+struct ServedModel {
+  std::shared_ptr<const SatoModel> model;
+  std::shared_ptr<const FeatureContext> context;
+  features::FeatureScaler scaler;
+};
+
 struct ServeResult {
   size_t threads;
   double seconds;
   double tables_per_sec;
   double columns_per_sec;
-  size_t workspace_bytes;  // steady-state scratch across all workers
 };
 
 /// Wall time of each serving phase over one full batch at a given worker
 /// count: featurization (tokenize-once fast path), the column-wise network
 /// forward pass, and CRF decoding (Viterbi minus the shared forward).
 /// Workers split the tables round-robin with per-worker predictor state,
-/// mirroring the BatchPredictor's table-parallel design.
+/// mirroring the PredictionService's table-parallel design.
 struct PhaseBreakdown {
   size_t threads;
   double featurize_sec;
@@ -71,27 +75,26 @@ struct PhaseBreakdown {
   double crf_sec;
 };
 
-PhaseBreakdown MeasurePhases(const SatoModel& model, const BenchEnv& env,
-                             const features::FeatureScaler& scaler,
+PhaseBreakdown MeasurePhases(const ServedModel& served,
                              const std::vector<Table>& tables, size_t threads,
                              int trials) {
+  const SatoModel& model = *served.model;
   struct Worker {
     SatoPredictor predictor;
     SatoPredictor::Scratch scratch;
     nn::Workspace ws;
     std::vector<TableExample> examples;  // this worker's featurised share
-    Worker(const SatoModel& m, const BenchEnv& e,
-           const features::FeatureScaler& s)
-        : predictor(&m, &e.context, s) {}
+    explicit Worker(const ServedModel& s)
+        : predictor(s.model.get(), s.context.get(), s.scaler) {}
   };
   std::vector<std::unique_ptr<Worker>> workers;
   for (size_t w = 0; w < threads; ++w) {
-    workers.push_back(std::make_unique<Worker>(model, env, scaler));
+    workers.push_back(std::make_unique<Worker>(served));
   }
 
   // Each phase runs for every worker concurrently; the measured time is
   // the wall-clock of the slowest worker (barrier semantics, like one
-  // PredictTables pass).
+  // PredictAll pass).
   auto run_parallel = [&](const std::function<void(size_t)>& fn) {
     if (threads == 1) {
       fn(0);
@@ -107,7 +110,7 @@ PhaseBreakdown MeasurePhases(const SatoModel& model, const BenchEnv& env,
   for (size_t i = 0; i < tables.size(); ++i) {
     if (tables[i].num_columns() == 0) continue;
     Worker& w = *workers[i % threads];
-    util::Rng rng(serve::BatchPredictor::TableSeed(1, i));
+    util::Rng rng(util::TableSeed(1, i));
     w.examples.push_back(w.predictor.Featurize(tables[i], &rng));
   }
 
@@ -115,7 +118,7 @@ PhaseBreakdown MeasurePhases(const SatoModel& model, const BenchEnv& env,
     Worker& w = *workers[wi];
     for (size_t i = wi; i < tables.size(); i += threads) {
       if (tables[i].num_columns() == 0) continue;
-      util::Rng rng(serve::BatchPredictor::TableSeed(1, i));
+      util::Rng rng(util::TableSeed(1, i));
       w.predictor.FeaturizeInto(tables[i], &rng, &w.scratch);
     }
   };
@@ -159,14 +162,15 @@ struct OnlineResult {
   serve::ServiceStats stats;  // latency percentiles, rejects
 };
 
-OnlineResult MeasureOnline(const SatoModel& model, const BenchEnv& env,
-                           const features::FeatureScaler& scaler,
+OnlineResult MeasureOnline(const ServedModel& served,
                            const std::vector<Table>& tables, size_t clients,
                            size_t workers, int trials) {
+  serve::ModelRegistry registry;
+  registry.Publish(served.model, served.context, served.scaler, "online");
   serve::PredictionServiceOptions options;
   options.num_threads = workers;
   options.queue_capacity = 1024;
-  serve::PredictionService service(model, &env.context, scaler, options);
+  serve::PredictionService service(&registry, options);
 
   auto run_closed_loop = [&] {
     std::vector<std::thread> threads;
@@ -174,7 +178,7 @@ OnlineResult MeasureOnline(const SatoModel& model, const BenchEnv& env,
     for (size_t c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
         for (size_t i = c; i < tables.size(); i += clients) {
-          service.Submit(tables[i], serve::BatchPredictor::TableSeed(1, i))
+          service.Submit(tables[i], util::TableSeed(1, i))
               .Get();
         }
       });
@@ -201,8 +205,8 @@ OnlineResult MeasureOnline(const SatoModel& model, const BenchEnv& env,
 }
 
 /// Hot-swap measurement: the same closed loop as MeasureOnline, but every
-/// `swap_every`-th submission publishes a new registry version (same
-/// weights -- swaps isolate the registry/pinning overhead, not model
+/// `swap_every`-th submission publishes a new registry version (the same
+/// model again -- swaps isolate the registry/pinning overhead, not model
 /// quality). Reports publish latency, how many responses straddled a swap
 /// (came back on a different version than was current at submit time),
 /// and the latency percentiles under swapping, to compare against the
@@ -222,12 +226,11 @@ struct SwapResult {
   serve::ServiceStats stats;
 };
 
-SwapResult MeasureSwap(const SatoModel& model, const BenchEnv& env,
-                       const features::FeatureScaler& scaler,
+SwapResult MeasureSwap(const ServedModel& served,
                        const std::vector<Table>& tables, size_t clients,
                        size_t workers, size_t swap_every, int trials) {
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(model, &env.context, scaler, "bench-v1");
+  registry.Publish(served.model, served.context, served.scaler, "bench-v1");
 
   serve::PredictionServiceOptions options;
   options.num_threads = workers;
@@ -247,7 +250,7 @@ SwapResult MeasureSwap(const SatoModel& model, const BenchEnv& env,
         for (size_t i = c; i < tables.size(); i += clients) {
           if (++submitted % swap_every == 0) {
             util::Timer publish_timer;
-            registry.PublishBorrowed(model, &env.context, scaler);
+            registry.Publish(served.model, served.context, served.scaler);
             if (measure) {
               double us = publish_timer.ElapsedSeconds() * 1e6;
               std::lock_guard<std::mutex> lock(publish_mutex);
@@ -256,7 +259,7 @@ SwapResult MeasureSwap(const SatoModel& model, const BenchEnv& env,
           }
           uint64_t at_submit = registry.current_version();
           serve::PredictionResult r =
-              service.Submit(tables[i], serve::BatchPredictor::TableSeed(1, i))
+              service.Submit(tables[i], util::TableSeed(1, i))
                   .Get();
           if (measure && r.status == serve::RequestStatus::kOk &&
               r.model_version != at_submit) {
@@ -317,9 +320,7 @@ struct CacheReplayResult {
   serve::ResultCacheStats cache_stats;
 };
 
-CacheReplayResult MeasureCacheReplay(const SatoModel& model,
-                                     const BenchEnv& env,
-                                     const features::FeatureScaler& scaler,
+CacheReplayResult MeasureCacheReplay(const ServedModel& served,
                                      const std::vector<Table>& tables,
                                      double zipf_s, size_t replay_requests,
                                      size_t cache_entries, size_t clients,
@@ -335,7 +336,7 @@ CacheReplayResult MeasureCacheReplay(const SatoModel& model,
   auto run = [&](serve::ResultCache* cache,
                  std::vector<std::vector<TypeId>>* responses) {
     serve::ModelRegistry registry;
-    registry.PublishBorrowed(model, &env.context, scaler, "replay");
+    registry.Publish(served.model, served.context, served.scaler, "replay");
     serve::PredictionServiceOptions options;
     options.num_threads = workers;
     options.queue_capacity = 1024;
@@ -351,7 +352,7 @@ CacheReplayResult MeasureCacheReplay(const SatoModel& model,
         for (size_t r = c; r < trace.size(); r += clients) {
           size_t i = trace[r];
           serve::PredictionResult result =
-              service.Submit(tables[i], serve::BatchPredictor::TableSeed(1, i))
+              service.Submit(tables[i], util::TableSeed(1, i))
                   .Get();
           (*responses)[r] = std::move(result.type_ids);  // disjoint slots
         }
@@ -406,8 +407,7 @@ struct DaemonResult {
   uint64_t responses_ok;
 };
 
-DaemonResult MeasureDaemon(const SatoModel& model, const BenchEnv& env,
-                           const features::FeatureScaler& scaler,
+DaemonResult MeasureDaemon(const ServedModel& served,
                            const std::vector<Table>& tables, double zipf_s,
                            size_t requests, size_t cache_entries,
                            size_t clients, size_t workers) {
@@ -416,7 +416,7 @@ DaemonResult MeasureDaemon(const SatoModel& model, const BenchEnv& env,
   for (size_t& t : trace) t = trace_rng.Zipf(tables.size(), zipf_s);
 
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(model, &env.context, scaler, "daemon");
+  registry.Publish(served.model, served.context, served.scaler, "daemon");
   serve::ResultCacheOptions cache_options;
   cache_options.capacity_entries = cache_entries;
   serve::ResultCache cache(cache_options);
@@ -437,7 +437,7 @@ DaemonResult MeasureDaemon(const SatoModel& model, const BenchEnv& env,
       for (size_t r = c; r < trace.size(); r += clients) {
         size_t i = trace[r];
         serve::wire::ClientResponse response = client.Predict(
-            tables[i], serve::BatchPredictor::TableSeed(1, i));
+            tables[i], util::TableSeed(1, i));
         if (response.transport_ok &&
             response.body.status == serve::wire::WireStatus::kOk) {
           ok.fetch_add(1, std::memory_order_relaxed);
@@ -487,8 +487,7 @@ struct ResilienceResult {
   double p99_ms_faulty;
 };
 
-ResilienceResult MeasureResilience(const SatoModel& model, const BenchEnv& env,
-                                   const features::FeatureScaler& scaler,
+ResilienceResult MeasureResilience(const ServedModel& served,
                                    const std::vector<Table>& tables,
                                    size_t requests, size_t clients,
                                    size_t workers) {
@@ -506,7 +505,7 @@ ResilienceResult MeasureResilience(const SatoModel& model, const BenchEnv& env,
 
   auto run_pass = [&](serve::FaultInjector* injector) {
     serve::ModelRegistry registry;
-    registry.PublishBorrowed(model, &env.context, scaler, "resilience");
+    registry.Publish(served.model, served.context, served.scaler, "resilience");
     serve::ResultCacheOptions cache_options;
     cache_options.capacity_entries = 1024;
     cache_options.fault_injector = injector;
@@ -543,7 +542,7 @@ ResilienceResult MeasureResilience(const SatoModel& model, const BenchEnv& env,
           size_t i = r % tables.size();
           util::Timer timer;
           serve::wire::ClientResponse response = client.Predict(
-              tables[i], serve::BatchPredictor::TableSeed(2, r));
+              tables[i], util::TableSeed(2, r));
           latencies.push_back(
               static_cast<uint64_t>(timer.ElapsedSeconds() * 1e9));
           if (response.transport_ok &&
@@ -606,25 +605,28 @@ ResilienceResult MeasureResilience(const SatoModel& model, const BenchEnv& env,
   return result;
 }
 
-ServeResult MeasureThroughput(const SatoModel& model, const BenchEnv& env,
-                              const features::FeatureScaler& scaler,
+ServeResult MeasureThroughput(const ServedModel& served,
                               const std::vector<Table>& tables,
                               size_t num_columns, size_t threads,
                               int trials) {
-  serve::BatchPredictorOptions options;
+  serve::ModelRegistry registry;
+  registry.Publish(served.model, served.context, served.scaler, "throughput");
+  serve::PredictionServiceOptions options;
   options.num_threads = threads;
-  options.seed = 1;
-  serve::BatchPredictor batch(model, &env.context, scaler, options);
+  options.queue_capacity = tables.size();
+  serve::PredictionService service(&registry, options);
 
-  batch.PredictTables(tables);  // warm-up pass (first-touch, page faults)
+  // Warm-up pass (first-touch, page faults).
+  serve::PredictAll(&service, tables, /*base_seed=*/1);
 
   util::Timer timer;
-  for (int t = 0; t < trials; ++t) batch.PredictTables(tables);
+  for (int t = 0; t < trials; ++t) {
+    serve::PredictAll(&service, tables, /*base_seed=*/1);
+  }
   double seconds = timer.ElapsedSeconds() / trials;
   double tables_per_sec = static_cast<double>(tables.size()) / seconds;
   double columns_per_sec = static_cast<double>(num_columns) / seconds;
-  return ServeResult{threads, seconds, tables_per_sec, columns_per_sec,
-                     batch.WorkspaceBytes()};
+  return ServeResult{threads, seconds, tables_per_sec, columns_per_sec};
 }
 
 void WritePhaseEntry(std::FILE* f, const PhaseBreakdown& p, bool last) {
@@ -771,18 +773,10 @@ void WriteJson(const char* path, const BenchEnv& env,
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const ServeResult& r = results[i];
-    // Memory comparison: the shared design holds one model plus scratch
-    // workspaces; the old replica design held num_threads full models.
-    size_t shared = model_bytes + r.workspace_bytes;
-    size_t replica = r.threads * model_bytes;
     std::fprintf(f,
                  "    {\"threads\": %zu, \"sec_per_batch\": %.6f, "
-                 "\"tables_per_sec\": %.2f, \"columns_per_sec\": %.2f, "
-                 "\"workspace_bytes\": %zu, "
-                 "\"shared_model_total_bytes\": %zu, "
-                 "\"replica_model_total_bytes\": %zu}%s\n",
+                 "\"tables_per_sec\": %.2f, \"columns_per_sec\": %.2f}%s\n",
                  r.threads, r.seconds, r.tables_per_sec, r.columns_per_sec,
-                 r.workspace_bytes, shared, replica,
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -796,16 +790,18 @@ int Run(const BenchFlags& flags) {
   // Standardise a copy of D to fit the serving scaler (prediction-time
   // tables must be scaled like the training split).
   Dataset train = env.dataset_d;
-  features::FeatureScaler scaler = StandardizeSplits(&train, nullptr);
-
   util::Rng rng(13);
-  SatoModel model(SatoVariant::kFull, env.dims, env.context.topic_dim(),
-                  env.config, &rng);
+  ServedModel served;
+  served.scaler = StandardizeSplits(&train, nullptr);
+  served.model = std::make_shared<const SatoModel>(
+      SatoVariant::kFull, env.dims, env.context.topic_dim(), env.config, &rng);
+  served.context = std::make_shared<const FeatureContext>(
+      std::move(env.context));
 
   const std::vector<Table>& tables = env.tables_dmult;
   size_t num_columns = 0;
   for (const Table& t : tables) num_columns += t.num_columns();
-  size_t model_bytes = model.ParameterBytes();
+  size_t model_bytes = served.model->ParameterBytes();
   std::printf("bench_serve: %zu multi-column tables (%zu columns), "
               "hardware threads = %u, shared model = %.2f MiB\n",
               tables.size(), num_columns,
@@ -818,27 +814,22 @@ int Run(const BenchFlags& flags) {
   std::vector<ServeResult> results;
   std::vector<PhaseBreakdown> phases;
   if (!flags.online_only) {
-    std::printf("%8s  %10s  %12s  %13s  %8s  %12s\n", "threads", "sec/batch",
-                "tables/sec", "columns/sec", "speedup", "mem vs repl");
-    PrintRule(74);
+    std::printf("%8s  %10s  %12s  %13s  %8s\n", "threads", "sec/batch",
+                "tables/sec", "columns/sec", "speedup");
+    PrintRule(60);
     double base_throughput = 0.0;
     for (size_t threads : thread_counts) {
-      ServeResult r = MeasureThroughput(model, env, scaler, tables,
-                                        num_columns, threads, trials);
+      ServeResult r =
+          MeasureThroughput(served, tables, num_columns, threads, trials);
       if (threads == 1) base_throughput = r.tables_per_sec;
-      size_t shared = model_bytes + r.workspace_bytes;
-      size_t replica = threads * model_bytes;
-      std::printf("%8zu  %10.3f  %12.1f  %13.1f  %7.2fx  %5.1f/%.1f MiB\n",
-                  r.threads, r.seconds, r.tables_per_sec, r.columns_per_sec,
-                  r.tables_per_sec / base_throughput,
-                  static_cast<double>(shared) / (1024.0 * 1024.0),
-                  static_cast<double>(replica) / (1024.0 * 1024.0));
+      std::printf("%8zu  %10.3f  %12.1f  %13.1f  %7.2fx\n", r.threads,
+                  r.seconds, r.tables_per_sec, r.columns_per_sec,
+                  r.tables_per_sec / base_throughput);
       results.push_back(r);
     }
 
     for (size_t threads : thread_counts) {
-      phases.push_back(
-          MeasurePhases(model, env, scaler, tables, threads, trials));
+      phases.push_back(MeasurePhases(served, tables, threads, trials));
       const PhaseBreakdown& p = phases.back();
       double phase_total = p.featurize_sec + p.nn_sec + p.crf_sec;
       std::printf("phase breakdown (%zu thread%s): featurize %.3fs (%.0f%%), "
@@ -854,8 +845,8 @@ int Run(const BenchFlags& flags) {
   // matched to the hardware.
   size_t online_workers =
       std::max<size_t>(1, std::thread::hardware_concurrency());
-  OnlineResult online = MeasureOnline(model, env, scaler, tables,
-                                      /*clients=*/4, online_workers, trials);
+  OnlineResult online = MeasureOnline(served, tables, /*clients=*/4,
+                                      online_workers, trials);
   std::printf("online (%zu clients, %zu workers): %.1f tables/sec, p50 "
               "%.3fms p95 %.3fms p99 %.3fms, %llu rejected\n",
               online.clients, online.workers, online.tables_per_sec,
@@ -867,8 +858,8 @@ int Run(const BenchFlags& flags) {
   // Hot-swap mode: same closed loop, publishing a new version roughly
   // eight times per pass over the corpus.
   size_t swap_every = std::max<size_t>(1, tables.size() / 8);
-  SwapResult swap = MeasureSwap(model, env, scaler, tables, /*clients=*/4,
-                                online_workers, swap_every, trials);
+  SwapResult swap = MeasureSwap(served, tables, /*clients=*/4, online_workers,
+                                swap_every, trials);
   std::printf("swap (every %zu submits): %llu versions published, %llu swaps "
               "observed, %llu straddling responses, publish p50 %.1fus max "
               "%.1fus, p99 %.3fms (vs %.3fms without swaps)\n",
@@ -885,8 +876,8 @@ int Run(const BenchFlags& flags) {
   size_t replay_requests =
       flags.replay ? flags.replay : tables.size() * 8;
   CacheReplayResult replay = MeasureCacheReplay(
-      model, env, scaler, tables, flags.zipf_s, replay_requests,
-      flags.cache_entries, /*clients=*/4, online_workers);
+      served, tables, flags.zipf_s, replay_requests, flags.cache_entries,
+      /*clients=*/4, online_workers);
   std::printf("cache replay (zipf s=%.2f, %zu requests over %zu tables, "
               "%zu entries): hit rate %.3f (%llu/%llu), cold %.1f "
               "tables/sec, cached %.1f tables/sec -> %.2fx, parity %s\n",
@@ -900,10 +891,9 @@ int Run(const BenchFlags& flags) {
   // And the same trace through the daemon's network front door.
   size_t daemon_requests =
       std::min(replay_requests, tables.size() * 2);
-  DaemonResult daemon = MeasureDaemon(model, env, scaler, tables,
-                                      flags.zipf_s, daemon_requests,
-                                      flags.cache_entries, /*clients=*/2,
-                                      online_workers);
+  DaemonResult daemon = MeasureDaemon(served, tables, flags.zipf_s,
+                                      daemon_requests, flags.cache_entries,
+                                      /*clients=*/2, online_workers);
   std::printf("daemon (loopback, %zu clients, %zu framed requests): %.1f "
               "requests/sec, mean server-side %.3fms, %llu ok, %llu cache "
               "hits\n",
@@ -915,8 +905,8 @@ int Run(const BenchFlags& flags) {
   // Resilience: the same loopback daemon under a seeded injected-fault
   // schedule vs fault-free, retrying clients with 50 ms deadlines.
   ResilienceResult resilience =
-      MeasureResilience(model, env, scaler, tables, daemon_requests,
-                        /*clients=*/2, online_workers);
+      MeasureResilience(served, tables, daemon_requests, /*clients=*/2,
+                        online_workers);
   std::printf("resilience (%llu ppm faults, %zu requests): fault-free p50 "
               "%.3fms p99 %.3fms -> faulty p50 %.3fms p99 %.3fms; %llu "
               "injected, %llu retries, %llu shed, %llu ok / %llu typed / "

@@ -13,7 +13,7 @@
 // base|notopic|nostruct|full, --seed S.
 //
 // `predict` and `eval` accept --jobs N to decode tables on N worker
-// threads through the BatchPredictor; output is identical for any N.
+// threads of a PredictionService; output is identical for any N.
 
 #include <cstdio>
 #include <cstdlib>
@@ -26,13 +26,12 @@
 #include "core/dataset.h"
 #include "core/feature_context.h"
 #include "core/model_io.h"
-#include "core/predictor.h"
 #include "core/sato_model.h"
 #include "core/trainer.h"
 #include "corpus/generator.h"
-#include "eval/model_eval.h"
-#include "serve/batch_predictor.h"
+#include "eval/metrics.h"
 #include "serve/model_registry.h"
+#include "serve/prediction_service.h"
 #include "util/timer.h"
 
 using namespace sato;
@@ -180,21 +179,25 @@ LoadedSato LoadBundleOrDie(const std::string& path) {
   return LoadSatoBundle(&in);
 }
 
-// Moves a loaded bundle's components into the registry as version 1. The
-// CLI serves pinned snapshots of this registry from here on -- the same
-// ownership discipline as a long-running deployment, where the loaded
-// model's lifetime is governed by pins rather than by scope.
-std::shared_ptr<const serve::ModelBundle> PublishLoaded(
-    serve::ModelRegistry* registry, LoadedSato* sato) {
-  std::shared_ptr<const SatoModel> model = std::move(sato->model);
-  std::shared_ptr<const FeatureContext> context = std::move(sato->context);
-  return registry->Publish(std::move(model), std::move(context), sato->scaler,
-                           sato->manifest.tag);
+// Serves every table of `tables` through one PredictionService with `jobs`
+// workers over a registry that owns the loaded bundle as version 1. Table i
+// decodes with the Rng stream util::TableSeed(seed, i), so the output is
+// identical for any --jobs value.
+std::vector<std::vector<TypeId>> PredictLoaded(LoadedSato* sato,
+                                               const std::vector<Table>& tables,
+                                               int jobs, uint64_t seed) {
+  serve::ModelRegistry registry;
+  registry.Publish(std::move(sato->model), std::move(sato->context),
+                   sato->scaler, sato->manifest.tag);
+  serve::PredictionServiceOptions options;
+  options.num_threads = static_cast<size_t>(jobs);
+  options.queue_capacity = tables.size();
+  serve::PredictionService service(&registry, options);
+  return serve::PredictAll(&service, tables, seed);
 }
 
 int CmdPredict(const std::string& bundle_path,
                const std::vector<std::string>& csv_paths, const Flags& flags) {
-  const int jobs = flags.jobs;
   LoadedSato sato = LoadBundleOrDie(bundle_path);
 
   bool any_failed = false;
@@ -218,29 +221,9 @@ int CmdPredict(const std::string& bundle_path,
     tables.push_back(std::move(table));
   }
 
-  // Table i decodes with the Rng stream TableSeed(1, i), so the output is
-  // identical for any --jobs value. The loaded model is published into a
-  // registry and served from a pinned bundle snapshot; with one job the
-  // bundle's predictor serves directly, with more the BatchPredictor fans
-  // out over worker scratches.
   constexpr uint64_t kPredictSeed = 1;
-  serve::ModelRegistry registry;
-  std::shared_ptr<const serve::ModelBundle> bundle =
-      PublishLoaded(&registry, &sato);
-  std::vector<std::vector<std::string>> names;
-  if (jobs == 1) {
-    names.reserve(tables.size());
-    for (size_t i = 0; i < tables.size(); ++i) {
-      util::Rng rng(serve::BatchPredictor::TableSeed(kPredictSeed, i));
-      names.push_back(bundle->predictor().PredictTypeNames(tables[i], &rng));
-    }
-  } else {
-    serve::BatchPredictorOptions options;
-    options.num_threads = static_cast<size_t>(jobs);
-    options.seed = kPredictSeed;
-    serve::BatchPredictor batch(bundle, options);
-    names = batch.PredictTypeNames(tables);
-  }
+  const std::vector<std::vector<TypeId>> predictions =
+      PredictLoaded(&sato, tables, flags.jobs, kPredictSeed);
 
   for (size_t i = 0; i < tables.size(); ++i) {
     const Table& table = tables[i];
@@ -249,7 +232,8 @@ int CmdPredict(const std::string& bundle_path,
       const char* sample =
           table.column(c).values.empty() ? "" : table.column(c).values[0].c_str();
       std::printf("  %-20s -> %-16s (e.g. \"%s\")\n",
-                  table.column(c).header.c_str(), names[i][c].c_str(), sample);
+                  table.column(c).header.c_str(),
+                  TypeName(predictions[i][c]).c_str(), sample);
     }
   }
   return any_failed ? 1 : 0;
@@ -263,34 +247,20 @@ int CmdEval(const std::string& bundle_path, const Flags& flags) {
   corpus::CorpusGenerator generator(copts);
   auto tables = corpus::FilterMultiColumn(generator.Generate());
 
-  // Same seed-stream discipline as CmdPredict: identical metrics for any
-  // --jobs value. Both paths evaluate a pinned bundle snapshot.
   constexpr uint64_t kEvalSeed = 3;
-  serve::ModelRegistry registry;
-  std::shared_ptr<const serve::ModelBundle> bundle =
-      PublishLoaded(&registry, &sato);
-  eval::EvaluationResult result;
-  size_t columns = 0;
-  if (flags.jobs == 1) {
-    result = eval::EvaluateBundleOnTables(bundle, tables, kEvalSeed);
-    for (const Table& table : tables) columns += table.num_columns();
-  } else {
-    serve::BatchPredictorOptions options;
-    options.num_threads = static_cast<size_t>(flags.jobs);
-    options.seed = kEvalSeed;
-    serve::BatchPredictor batch(bundle, options);
-    std::vector<std::vector<TypeId>> predictions = batch.PredictTables(tables);
-    std::vector<int> gold, predicted;
-    for (size_t i = 0; i < tables.size(); ++i) {
-      auto truth = tables[i].TypeSequence();
-      gold.insert(gold.end(), truth.begin(), truth.end());
-      predicted.insert(predicted.end(), predictions[i].begin(),
-                       predictions[i].end());
-    }
-    result = eval::Evaluate(gold, predicted, kNumSemanticTypes);
-    columns = gold.size();
+  const std::vector<std::vector<TypeId>> predictions =
+      PredictLoaded(&sato, tables, flags.jobs, kEvalSeed);
+  std::vector<int> gold, predicted;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    auto truth = tables[i].TypeSequence();
+    gold.insert(gold.end(), truth.begin(), truth.end());
+    predicted.insert(predicted.end(), predictions[i].begin(),
+                     predictions[i].end());
   }
-  std::printf("evaluated %zu tables (%zu columns)\n", tables.size(), columns);
+  const eval::EvaluationResult result =
+      eval::Evaluate(gold, predicted, kNumSemanticTypes);
+  std::printf("evaluated %zu tables (%zu columns)\n", tables.size(),
+              gold.size());
   std::printf("macro F1:    %.3f\n", result.macro_f1);
   std::printf("weighted F1: %.3f\n", result.weighted_f1);
   std::printf("accuracy:    %.3f\n", result.accuracy);

@@ -1,6 +1,8 @@
 #include "core/model_io.h"
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -52,8 +54,33 @@ void WritePayload(const SatoModel& model, const FeatureContext& context,
                   const features::FeatureScaler& scaler, std::ostream* out) {
   WriteU64(out, static_cast<uint64_t>(model.variant()));
 
+  // The config keeps its in-memory layout on disk (ReadPayload reads the
+  // struct raw), but is copied field by field into a zeroed image, so
+  // padding never reaches the bundle or its content hash.
   const SatoConfig& config = model.config();
-  out->write(reinterpret_cast<const char*>(&config), sizeof(config));
+  static_assert(sizeof(SatoConfig) == 136, "new field: add it to the image");
+  char image[sizeof(SatoConfig)] = {};
+  auto put = [&image](size_t offset, const auto& field) {
+    std::memcpy(image + offset, &field, sizeof(field));
+  };
+  put(offsetof(SatoConfig, subnet_hidden), config.subnet_hidden);
+  put(offsetof(SatoConfig, char_out), config.char_out);
+  put(offsetof(SatoConfig, word_out), config.word_out);
+  put(offsetof(SatoConfig, para_out), config.para_out);
+  put(offsetof(SatoConfig, topic_out), config.topic_out);
+  put(offsetof(SatoConfig, primary_hidden), config.primary_hidden);
+  put(offsetof(SatoConfig, dropout), config.dropout);
+  put(offsetof(SatoConfig, learning_rate), config.learning_rate);
+  put(offsetof(SatoConfig, weight_decay), config.weight_decay);
+  put(offsetof(SatoConfig, epochs), config.epochs);
+  put(offsetof(SatoConfig, batch_size), config.batch_size);
+  put(offsetof(SatoConfig, crf_epochs), config.crf_epochs);
+  put(offsetof(SatoConfig, crf_batch_size), config.crf_batch_size);
+  put(offsetof(SatoConfig, crf_learning_rate), config.crf_learning_rate);
+  put(offsetof(SatoConfig, crf_init_scale), config.crf_init_scale);
+  put(offsetof(SatoConfig, num_topics), config.num_topics);
+  put(offsetof(SatoConfig, seed), config.seed);
+  out->write(image, sizeof(image));
 
   // Reconstruct the dims from the pipeline so the loaded model is built
   // with identical shapes.

@@ -1,24 +1,8 @@
 #include "serve/fault_injector.h"
 
+#include "util/rng.h"
+
 namespace sato::serve {
-
-namespace {
-
-// splitmix64: the same generator BatchPredictor::TableSeed uses for its
-// per-table seed streams -- cheap, stateless, and well mixed, so adjacent
-// call indices produce statistically independent draws.
-constexpr uint64_t kGamma = 0x9E3779B97F4A7C15ull;
-
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
 
 const char* FaultPointName(FaultPoint point) {
   switch (point) {
@@ -45,8 +29,9 @@ bool FaultInjector::Trigger(FaultPoint point) {
   const uint64_t k = points_[p].calls.fetch_add(1, std::memory_order_relaxed);
   const uint32_t rate = plan_.rate_ppm[p];
   if (rate == 0) return false;
-  const uint64_t stream = Mix64(seed_ + kGamma * (static_cast<uint64_t>(p) + 1));
-  const uint64_t draw = Mix64(stream + kGamma * (k + 1));
+  // splitmix64 twice: stream p of the seed, then draw k of that stream.
+  const uint64_t stream = util::TableSeed(seed_, p);
+  const uint64_t draw = util::TableSeed(stream, k);
   if (draw % 1'000'000 >= rate) return false;
   points_[p].injected.fetch_add(1, std::memory_order_relaxed);
   return true;

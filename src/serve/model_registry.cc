@@ -7,7 +7,7 @@
 
 namespace sato::serve {
 
-ModelBundle::ModelBundle(std::shared_ptr<const SatoModel> model,
+ModelBundle::ModelBundle(Key, std::shared_ptr<const SatoModel> model,
                          std::shared_ptr<const FeatureContext> context,
                          features::FeatureScaler scaler, std::string tag,
                          uint64_t version)
@@ -23,18 +23,6 @@ ModelBundle::ModelBundle(std::shared_ptr<const SatoModel> model,
   }
 }
 
-std::shared_ptr<const ModelBundle> ModelBundle::Borrowed(
-    const SatoModel& model, const FeatureContext* context,
-    features::FeatureScaler scaler, std::string tag) {
-  // Non-owning aliases: the shared_ptrs share a null control block, so
-  // destruction frees nothing -- lifetime stays with the caller, exactly
-  // like the raw-borrow constructors this bridges from.
-  return std::make_shared<const ModelBundle>(
-      std::shared_ptr<const SatoModel>(std::shared_ptr<void>(), &model),
-      std::shared_ptr<const FeatureContext>(std::shared_ptr<void>(), context),
-      std::move(scaler), std::move(tag), /*version=*/0);
-}
-
 std::shared_ptr<const ModelBundle> ModelRegistry::Publish(
     std::shared_ptr<const SatoModel> model,
     std::shared_ptr<const FeatureContext> context,
@@ -48,8 +36,8 @@ std::shared_ptr<const ModelBundle> ModelRegistry::Publish(
     const uint64_t version = next_version_++;
     if (tag.empty()) tag = "v" + std::to_string(version);
     bundle = std::make_shared<const ModelBundle>(
-        std::move(model), std::move(context), std::move(scaler), tag,
-        version);
+        ModelBundle::Key(), std::move(model), std::move(context),
+        std::move(scaler), tag, version);
     history_.push_back(
         VersionRecord{version, std::move(tag), bundle, bundle->counters_});
     // The swap itself. Readers that already pinned the old version keep
@@ -67,15 +55,6 @@ std::shared_ptr<const ModelBundle> ModelRegistry::Publish(
     }
   }
   return bundle;
-}
-
-std::shared_ptr<const ModelBundle> ModelRegistry::PublishBorrowed(
-    const SatoModel& model, const FeatureContext* context,
-    features::FeatureScaler scaler, std::string tag) {
-  return Publish(
-      std::shared_ptr<const SatoModel>(std::shared_ptr<void>(), &model),
-      std::shared_ptr<const FeatureContext>(std::shared_ptr<void>(), context),
-      std::move(scaler), std::move(tag));
 }
 
 std::shared_ptr<const ModelBundle> ModelRegistry::PinVersion(

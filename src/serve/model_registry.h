@@ -33,29 +33,28 @@ struct VersionCounters {
 ///
 /// A bundle is IMMUTABLE after construction and always handled through
 /// `std::shared_ptr<const ModelBundle>`: whoever holds the pointer holds a
-/// *pin* -- the bundle (and the model/context behind it, when owned) stays
-/// alive exactly until the last pin drops. That is the entire hot-swap
-/// story: publishing a new version never invalidates anything an in-flight
-/// request is reading.
+/// *pin* -- the bundle and the model/context it owns stay alive exactly
+/// until the last pin drops. That is the entire hot-swap story: publishing
+/// a new version never invalidates anything an in-flight request is
+/// reading.
 ///
-/// Version 0 means "unregistered" (a bundle wrapped around borrowed
-/// components outside any registry, e.g. the legacy borrow-based
-/// constructors); registries assign versions starting at 1.
+/// Only ModelRegistry::Publish creates bundles, so every bundle carries a
+/// real registry version (1, 2, 3, ...).
 class ModelBundle {
  public:
-  /// Owning construction: the bundle keeps the model and context alive.
-  /// `context` may not be null; `model` may not be null.
-  ModelBundle(std::shared_ptr<const SatoModel> model,
+  /// Construction token that only ModelRegistry can create: the
+  /// constructor must be public for make_shared (one allocation for the
+  /// bundle and its refcount), yet only Publish may call it.
+  class Key {
+    friend class ModelRegistry;
+    Key() = default;
+  };
+
+  /// The bundle keeps the model and context alive; neither may be null.
+  ModelBundle(Key, std::shared_ptr<const SatoModel> model,
               std::shared_ptr<const FeatureContext> context,
               features::FeatureScaler scaler, std::string tag,
               uint64_t version);
-
-  /// Wraps BORROWED components into an unregistered (version 0) bundle:
-  /// the caller guarantees `model` and `*context` outlive every pin.
-  /// This is the bridge from the legacy raw-borrow constructors.
-  static std::shared_ptr<const ModelBundle> Borrowed(
-      const SatoModel& model, const FeatureContext* context,
-      features::FeatureScaler scaler, std::string tag = "borrowed");
 
   ModelBundle(const ModelBundle&) = delete;
   ModelBundle& operator=(const ModelBundle&) = delete;
@@ -74,7 +73,6 @@ class ModelBundle {
   const std::shared_ptr<const FeatureContext>& context_ptr() const {
     return context_;
   }
-  const std::shared_ptr<const SatoModel>& model_ptr() const { return model_; }
 
   /// Predictor wired to this bundle's model/context/scaler. Const and
   /// re-entrant (the Apply path): share it across any number of threads.
@@ -158,13 +156,6 @@ class ModelRegistry {
   std::shared_ptr<const ModelBundle> Publish(
       std::shared_ptr<const SatoModel> model,
       std::shared_ptr<const FeatureContext> context,
-      features::FeatureScaler scaler, std::string tag = std::string());
-
-  /// Publishes a new version around BORROWED components (caller
-  /// guarantees lifetime). The bridge for call sites that still own the
-  /// model/context outright, e.g. tests and benchmarks.
-  std::shared_ptr<const ModelBundle> PublishBorrowed(
-      const SatoModel& model, const FeatureContext* context,
       features::FeatureScaler scaler, std::string tag = std::string());
 
   /// The current version, pinned. Null until the first Publish.

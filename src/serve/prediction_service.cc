@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/rng.h"
@@ -74,14 +75,6 @@ ModelRegistry* ValidateRegistry(ModelRegistry* registry) {
   return registry;
 }
 
-std::unique_ptr<ModelRegistry> MakeSingleVersionRegistry(
-    const SatoModel& model, const FeatureContext* context,
-    features::FeatureScaler scaler) {
-  auto registry = std::make_unique<ModelRegistry>();
-  registry->PublishBorrowed(model, context, std::move(scaler), "borrowed");
-  return registry;
-}
-
 }  // namespace
 
 const char* RequestStatusName(RequestStatus status) {
@@ -132,20 +125,6 @@ PredictionService::PredictionService(ModelRegistry* registry,
   // and resolving its handle.
   latencies_.reserve(kLatencyWindow);
 }
-
-PredictionService::PredictionService(std::unique_ptr<ModelRegistry> owned,
-                                     const PredictionServiceOptions& options)
-    : PredictionService(owned.get(), options) {
-  own_registry_ = std::move(owned);
-}
-
-PredictionService::PredictionService(const SatoModel& model,
-                                     const FeatureContext* context,
-                                     features::FeatureScaler scaler,
-                                     const PredictionServiceOptions& options)
-    : PredictionService(
-          MakeSingleVersionRegistry(model, context, std::move(scaler)),
-          options) {}
 
 PredictionService::~PredictionService() { Shutdown(); }
 
@@ -426,6 +405,39 @@ ServiceStats PredictionService::Stats() const {
   stats.latency_p95_nanos = Percentile(latencies, 95);
   stats.latency_p99_nanos = Percentile(latencies, 99);
   return stats;
+}
+
+std::vector<std::vector<TypeId>> PredictAll(PredictionService* service,
+                                            const std::vector<Table>& tables,
+                                            uint64_t base_seed) {
+  std::vector<PredictionHandle> handles;
+  handles.reserve(tables.size());
+  for (size_t i = 0; i < tables.size(); ++i) {
+    handles.push_back(
+        service->Submit(tables[i], util::TableSeed(base_seed, i)));
+  }
+  std::vector<std::vector<TypeId>> predictions(tables.size());
+  uint64_t version = 0;
+  for (size_t i = 0; i < handles.size(); ++i) {
+    const PredictionResult& result = handles[i].Get();
+    if (result.status == RequestStatus::kFailed) {
+      std::rethrow_exception(result.error);
+    }
+    if (result.status != RequestStatus::kOk) {
+      throw std::runtime_error("PredictAll: table " + std::to_string(i) +
+                               " was not served (" +
+                               RequestStatusName(result.status) + ")");
+    }
+    if (i > 0 && result.model_version != version) {
+      throw std::runtime_error(
+          "PredictAll: the batch straddled a publish (model versions " +
+          std::to_string(version) + " and " +
+          std::to_string(result.model_version) + ")");
+    }
+    version = result.model_version;
+    predictions[i] = result.type_ids;
+  }
+  return predictions;
 }
 
 void PredictionService::ResetStats() {

@@ -11,8 +11,6 @@
 
 #include "core/feature_context.h"
 #include "core/predictor.h"
-#include "core/sato_model.h"
-#include "features/pipeline.h"
 #include "nn/workspace.h"
 #include "serve/clock.h"
 #include "serve/fault_injector.h"
@@ -44,7 +42,8 @@ struct PredictionResult {
   /// Predicted semantic type ids, one per column (empty unless kOk).
   std::vector<TypeId> type_ids;
   /// Registry version of the model bundle that produced this prediction
-  /// (0 for rejected/shutdown requests, which never reached a model).
+  /// (0 for rejected/shutdown requests, which never reached a model;
+  /// registry versions start at 1).
   /// With hot swap live, this is what keeps the determinism contract
   /// auditable: the response is byte-identical to a sequential
   /// SatoPredictor run on exactly this version.
@@ -172,7 +171,8 @@ struct ServiceStats {
 /// version in the response, regardless of which worker runs it or the
 /// worker count (asserted by tests/service_test.cc, including mid-stream
 /// publishes). Callers who need distinct per-request streams from one
-/// base seed should derive them with BatchPredictor::TableSeed(base, i).
+/// base seed should derive them with util::TableSeed(base, i), as
+/// PredictAll does.
 ///
 /// Scratch re-binding across swaps: per-worker FeatureScratch token
 /// dictionaries are keyed to one FeatureContext. Each worker holds a
@@ -201,14 +201,6 @@ class PredictionService {
   /// service with nothing to serve is a configuration error, not a
   /// runtime state).
   PredictionService(ModelRegistry* registry,
-                    const PredictionServiceOptions& options);
-
-  /// Legacy borrow-based construction: wraps the borrowed components into
-  /// an internal single-version registry. `model` and `context` (and
-  /// options.clock when set) must outlive the service. No model state is
-  /// copied.
-  PredictionService(const SatoModel& model, const FeatureContext* context,
-                    features::FeatureScaler scaler,
                     const PredictionServiceOptions& options);
 
   /// Shuts down (drains admitted requests) if Shutdown was not called.
@@ -254,28 +246,11 @@ class PredictionService {
   /// than this have completed, the oldest samples are overwritten.
   static constexpr size_t kLatencyWindow = 1 << 16;
 
-  /// Pinned snapshot of the version the NEXT request will serve.
-  /// Safe to hold indefinitely (it is a pin of its own). This replaces
-  /// the old `const SatoModel& model()` accessor, which would have
-  /// dangled the moment a publish retired the model it pointed into.
-  std::shared_ptr<const ModelBundle> bundle() const {
-    return registry_->Current();
-  }
-
-  /// Version id the next request will serve.
-  uint64_t model_version() const { return registry_->current_version(); }
-
-  /// The registry this service serves from (never null). The compat
-  /// constructors expose their internal single-version registry here, so
-  /// corrections can be submitted against any service.
+  /// The registry this service serves from (never null); the server
+  /// submits corrections against it.
   ModelRegistry* registry() const { return registry_; }
 
  private:
-  /// Compat-ctor plumbing: adopts ownership of the internal registry
-  /// after delegating to the registry-serving constructor.
-  PredictionService(std::unique_ptr<ModelRegistry> owned,
-                    const PredictionServiceOptions& options);
-
   void ExecuteRequest(const std::shared_ptr<internal::RequestState>& state,
                       size_t worker);
   /// Adds one sample to the latency window. Caller holds mutex_.
@@ -287,7 +262,6 @@ class PredictionService {
   PredictionServiceOptions options_;      // sanitized copy
   std::unique_ptr<SteadyClock> own_clock_;  // set when options.clock == null
   Clock* clock_;                          // the clock actually used
-  std::unique_ptr<ModelRegistry> own_registry_;  // compat ctor only
   ModelRegistry* registry_;               // the registry actually served
   std::vector<nn::Workspace> workspaces_;            // one per worker
   std::vector<SatoPredictor::Scratch> scratches_;    // one per worker
@@ -323,6 +297,21 @@ class PredictionService {
   // (the destructor shuts down first anyway).
   ThreadPool pool_;
 };
+
+/// Offline batch prediction: submits table i with seed
+/// util::TableSeed(base_seed, i) and returns the type ids in input order,
+/// so the output is byte-identical for any worker count and equal to
+/// sequential SatoPredictor runs with the same seeds.
+///
+/// Every table must be served: a status other than kOk throws (kFailed
+/// rethrows the prediction's own exception), so a queue_capacity smaller
+/// than the batch fails loudly instead of leaving gaps. The version is
+/// pinned per request, so the results must also agree on model_version;
+/// PredictAll throws when a publish landed mid-batch. Callers that own
+/// their registry and publish once (sato_cli) never see that.
+std::vector<std::vector<TypeId>> PredictAll(PredictionService* service,
+                                            const std::vector<Table>& tables,
+                                            uint64_t base_seed);
 
 }  // namespace sato::serve
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/rng.h"
+
 namespace sato::serve {
 
 namespace {
@@ -30,15 +32,6 @@ struct HashPair {
     for (int i = 0; i < 8; ++i) bytes[i] = static_cast<unsigned char>(v >> (8 * i));
     Mix(bytes, sizeof(bytes));
   }
-
-  static uint64_t Finalize(uint64_t x) {  // splitmix64 finalizer
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return x;
-  }
 };
 
 }  // namespace
@@ -60,8 +53,8 @@ CacheKey ComputeCacheKey(const Table& table, uint64_t seed,
   h.MixU64(seed);
   h.MixU64(model_version);
   CacheKey key;
-  key.lo = HashPair::Finalize(h.lo);
-  key.hi = HashPair::Finalize(h.hi);
+  key.lo = util::Mix64(h.lo);
+  key.hi = util::Mix64(h.hi);
   return key;
 }
 

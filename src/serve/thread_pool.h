@@ -15,13 +15,12 @@ namespace sato::serve {
 /// A fixed-size pool of worker threads draining a shared task queue.
 ///
 /// Tasks receive the index of the worker running them (0 .. num_threads-1),
-/// which lets callers keep worker-local state -- the BatchPredictor uses it
-/// to route each table to a worker-private nn::Workspace while every
+/// which lets callers keep worker-local state -- PredictionService uses it
+/// to route each request to a worker-private nn::Workspace while every
 /// worker reads the same shared, immutable model.
 ///
-/// The pool is created once and reused across batches; Wait() blocks until
-/// the queue is empty *and* every in-flight task has finished, so a
-/// Submit/Wait cycle is a complete barrier.
+/// Wait() blocks until the queue is empty *and* every in-flight task has
+/// finished, so a Submit/Wait cycle is a complete barrier.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -37,8 +36,8 @@ class ThreadPool {
   /// An exception escaping a task does not kill the worker or wedge the
   /// pool: the first escaped exception_ptr is captured and rethrown by
   /// the next Wait() (later escapes before that Wait are dropped).
-  /// Callers that need per-batch attribution still capture their own
-  /// errors inside the task, as the BatchPredictor does.
+  /// Callers that need per-request attribution still capture their own
+  /// errors inside the task, as PredictionService does.
   void Submit(std::function<void(size_t worker)> task);
 
   /// Blocks until all submitted tasks have completed, then rethrows the

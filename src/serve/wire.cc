@@ -14,6 +14,8 @@
 #include <chrono>
 #include <cstring>
 
+#include "util/rng.h"
+
 namespace sato::serve::wire {
 
 namespace {
@@ -37,16 +39,6 @@ uint64_t LoadU64(const char* p) {
 
 std::string ErrnoString(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
-}
-
-// splitmix64 finalizer for the deterministic retry jitter stream.
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
 }
 
 }  // namespace
@@ -76,8 +68,9 @@ uint64_t RetryBackoffNanos(const RetryPolicy& policy, int retry_index) {
   uint64_t nanos = static_cast<uint64_t>(base);
   if (policy.jitter_fraction > 0.0) {
     const uint64_t draw =
-        Mix64(policy.jitter_seed +
-              0x9E3779B97F4A7C15ull * static_cast<uint64_t>(retry_index));
+        util::Mix64(policy.jitter_seed +
+                    util::kSplitMix64Gamma *
+                        static_cast<uint64_t>(retry_index));
     // Top 53 bits -> a uniform double in [0, 1): the full jitter range is
     // reachable and the draw is identical on every platform.
     const double unit =

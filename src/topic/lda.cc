@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -305,7 +307,22 @@ void LdaModel::Save(std::ostream* out) const {
   uint64_t v = vocab_.size();
   out->write(reinterpret_cast<const char*>(&k), sizeof(k));
   out->write(reinterpret_cast<const char*>(&v), sizeof(v));
-  out->write(reinterpret_cast<const char*>(&options_), sizeof(options_));
+  // The options keep their in-memory layout on disk (Load reads the struct
+  // raw), but are copied field by field into a zeroed image, so padding
+  // never reaches the file: the bytes are a function of the values alone.
+  static_assert(sizeof(LdaOptions) == 48, "new field: add it to the image");
+  char image[sizeof(LdaOptions)] = {};
+  auto put = [&image](size_t offset, const auto& field) {
+    std::memcpy(image + offset, &field, sizeof(field));
+  };
+  put(offsetof(LdaOptions, num_topics), options_.num_topics);
+  put(offsetof(LdaOptions, alpha), options_.alpha);
+  put(offsetof(LdaOptions, beta), options_.beta);
+  put(offsetof(LdaOptions, train_iterations), options_.train_iterations);
+  put(offsetof(LdaOptions, infer_iterations), options_.infer_iterations);
+  put(offsetof(LdaOptions, min_count), options_.min_count);
+  put(offsetof(LdaOptions, max_doc_tokens), options_.max_doc_tokens);
+  out->write(image, sizeof(image));
   for (size_t i = 0; i < v; ++i) {
     const std::string& t = vocab_.Token(static_cast<TokenId>(i));
     uint64_t len = t.size();

@@ -81,6 +81,29 @@ class Rng {
   std::normal_distribution<double> normal_{0.0, 1.0};
 };
 
+/// splitmix64's increment (2^64 / golden ratio).
+inline constexpr uint64_t kSplitMix64Gamma = 0x9E3779B97F4A7C15ull;
+
+/// The splitmix64 finalizer: a stateless, well-mixed 64-bit hash. The
+/// per-table seed streams, the fault schedule, the retry jitter and the
+/// result-cache key all draw from it.
+constexpr uint64_t Mix64(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ull;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBull;
+  x ^= x >> 31;
+  return x;
+}
+
+/// The seed of table `index` in a batch with base seed `base_seed`: the
+/// index-th output of splitmix64 started at `base_seed`. Neighbouring
+/// tables get uncorrelated streams, and a table's prediction depends only
+/// on the base seed and its position, never on thread count or schedule.
+constexpr uint64_t TableSeed(uint64_t base_seed, uint64_t index) {
+  return Mix64(base_seed + kSplitMix64Gamma * (index + 1));
+}
+
 }  // namespace sato::util
 
 #endif  // SATO_UTIL_RNG_H_

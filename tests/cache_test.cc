@@ -20,7 +20,6 @@
 #include "core/predictor.h"
 #include "core/sato_model.h"
 #include "corpus/generator.h"
-#include "serve/batch_predictor.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
 #include "serve/result_cache.h"
@@ -227,30 +226,30 @@ class CacheParityTest : public ::testing::Test {
     config_ = new SatoConfig();
     config_->num_topics = 8;
     util::Rng rng(23);
-    context_ =
-        new FeatureContext(FeatureContext::Build(reference, *config_, &rng));
+    context_ = std::make_shared<const FeatureContext>(
+        FeatureContext::Build(reference, *config_, &rng));
 
-    DatasetBuilder builder(context_);
+    DatasetBuilder builder(context_.get());
     Dataset train = builder.Build(*tables_, &rng);
     scaler_ = new features::FeatureScaler(StandardizeSplits(&train, nullptr));
   }
 
   static void TearDownTestSuite() {
     delete scaler_;
-    delete context_;
+    context_.reset();
     delete config_;
     delete tables_;
   }
 
-  static SatoModel MakeModel(uint64_t seed) {
+  static std::shared_ptr<const SatoModel> MakeModel(uint64_t seed) {
     ColumnwiseModel::Dims dims;
     dims.char_dim = context_->pipeline().char_dim();
     dims.word_dim = context_->pipeline().word_dim();
     dims.para_dim = context_->pipeline().para_dim();
     dims.stat_dim = context_->pipeline().stat_dim();
     util::Rng rng(seed);
-    return SatoModel(SatoVariant::kFull, dims, context_->topic_dim(), *config_,
-                     &rng);
+    return std::make_shared<const SatoModel>(
+        SatoVariant::kFull, dims, context_->topic_dim(), *config_, &rng);
   }
 
   /// The parity oracle: a sequential SatoPredictor run with the request's
@@ -258,37 +257,37 @@ class CacheParityTest : public ::testing::Test {
   /// be byte-identical to this.
   static std::vector<TypeId> Sequential(const SatoModel& model,
                                         const Table& table, uint64_t seed) {
-    SatoPredictor predictor(&model, context_, *scaler_);
+    SatoPredictor predictor(&model, context_.get(), *scaler_);
     util::Rng rng(seed);
     return predictor.PredictTable(table, &rng);
   }
 
   static uint64_t SeedFor(size_t i) {
-    return serve::BatchPredictor::TableSeed(1, i);
+    return util::TableSeed(1, i);
   }
 
   static std::vector<Table>* tables_;
   static SatoConfig* config_;
-  static FeatureContext* context_;
+  static std::shared_ptr<const FeatureContext> context_;
   static features::FeatureScaler* scaler_;
 };
 
 std::vector<Table>* CacheParityTest::tables_ = nullptr;
 SatoConfig* CacheParityTest::config_ = nullptr;
-FeatureContext* CacheParityTest::context_ = nullptr;
+std::shared_ptr<const FeatureContext> CacheParityTest::context_;
 features::FeatureScaler* CacheParityTest::scaler_ = nullptr;
 
 TEST_F(CacheParityTest, HitsAreByteIdenticalToColdAtEveryWorkerCount) {
-  SatoModel model = MakeModel(5);
+  const auto model = MakeModel(5);
   std::vector<std::vector<TypeId>> oracle(tables_->size());
   for (size_t i = 0; i < tables_->size(); ++i) {
-    oracle[i] = Sequential(model, (*tables_)[i], SeedFor(i));
+    oracle[i] = Sequential(*model, (*tables_)[i], SeedFor(i));
   }
 
   for (size_t workers : {1u, 2u, 8u}) {
     ResultCache cache(ResultCacheOptions{});
     ModelRegistry registry;
-    registry.PublishBorrowed(model, context_, *scaler_, "parity");
+    registry.Publish(model, context_, *scaler_, "parity");
 
     PredictionServiceOptions options;
     options.num_threads = workers;
@@ -323,13 +322,13 @@ TEST_F(CacheParityTest, HitsAreByteIdenticalToColdAtEveryWorkerCount) {
 }
 
 TEST_F(CacheParityTest, ParityHoldsAcrossMidStreamHotSwap) {
-  SatoModel model_a = MakeModel(11);
-  SatoModel model_b = MakeModel(22);
+  const auto model_a = MakeModel(11);
+  const auto model_b = MakeModel(22);
   const size_t n = std::min<size_t>(tables_->size(), 24);
 
   ResultCache cache(ResultCacheOptions{});
   ModelRegistry registry;
-  registry.PublishBorrowed(model_a, context_, *scaler_, "A");
+  registry.Publish(model_a, context_, *scaler_, "A");
 
   PredictionServiceOptions options;
   options.num_threads = 2;
@@ -340,7 +339,7 @@ TEST_F(CacheParityTest, ParityHoldsAcrossMidStreamHotSwap) {
   for (size_t i = 0; i < n; ++i) {
     const auto cold = service.Submit((*tables_)[i], SeedFor(i)).Get();
     ASSERT_EQ(cold.status, RequestStatus::kOk);
-    ASSERT_EQ(cold.type_ids, Sequential(model_a, (*tables_)[i], SeedFor(i)));
+    ASSERT_EQ(cold.type_ids, Sequential(*model_a, (*tables_)[i], SeedFor(i)));
     const auto warm = service.Submit((*tables_)[i], SeedFor(i)).Get();
     ASSERT_TRUE(warm.cache_hit);
     ASSERT_EQ(warm.model_version, 1u);
@@ -350,13 +349,13 @@ TEST_F(CacheParityTest, ParityHoldsAcrossMidStreamHotSwap) {
   // Hot swap mid-stream. Version 2 keys differ, so the stale entries can
   // never be served; the first post-swap response per table must be a
   // cold prediction from B, then a byte-identical hit.
-  registry.PublishBorrowed(model_b, context_, *scaler_, "B");
+  registry.Publish(model_b, context_, *scaler_, "B");
   for (size_t i = 0; i < n; ++i) {
     const auto cold = service.Submit((*tables_)[i], SeedFor(i)).Get();
     ASSERT_EQ(cold.status, RequestStatus::kOk);
     EXPECT_FALSE(cold.cache_hit) << "stale hit after swap, table " << i;
     EXPECT_EQ(cold.model_version, 2u);
-    EXPECT_EQ(cold.type_ids, Sequential(model_b, (*tables_)[i], SeedFor(i)))
+    EXPECT_EQ(cold.type_ids, Sequential(*model_b, (*tables_)[i], SeedFor(i)))
         << "post-swap parity, table " << i;
     const auto warm = service.Submit((*tables_)[i], SeedFor(i)).Get();
     ASSERT_EQ(warm.status, RequestStatus::kOk);
@@ -374,17 +373,17 @@ TEST_F(CacheParityTest, ParityHoldsAcrossMidStreamHotSwap) {
 }
 
 TEST_F(CacheParityTest, FourProducersStayByteIdenticalAtEveryWorkerCount) {
-  SatoModel model = MakeModel(33);
+  const auto model = MakeModel(33);
   const size_t n = std::min<size_t>(tables_->size(), 32);
   std::vector<std::vector<TypeId>> oracle(n);
   for (size_t i = 0; i < n; ++i) {
-    oracle[i] = Sequential(model, (*tables_)[i], SeedFor(i));
+    oracle[i] = Sequential(*model, (*tables_)[i], SeedFor(i));
   }
 
   for (size_t workers : {1u, 2u, 8u}) {
     ResultCache cache(ResultCacheOptions{});
     ModelRegistry registry;
-    registry.PublishBorrowed(model, context_, *scaler_, "mp");
+    registry.Publish(model, context_, *scaler_, "mp");
 
     PredictionServiceOptions options;
     options.num_threads = workers;

@@ -31,7 +31,6 @@
 #include "core/predictor.h"
 #include "core/sato_model.h"
 #include "corpus/generator.h"
-#include "serve/batch_predictor.h"
 #include "serve/clock.h"
 #include "serve/correction_wal.h"
 #include "serve/fault_injector.h"
@@ -48,7 +47,6 @@
 namespace sato {
 namespace {
 
-using serve::BatchPredictor;
 using serve::CorrectionWal;
 using serve::CorrectionWalOptions;
 using serve::FakeClock;
@@ -405,19 +403,19 @@ class ChaosServingTest : public ::testing::Test {
     config_ = new SatoConfig();
     config_->num_topics = 8;
     util::Rng rng(19);
-    context_ =
-        new FeatureContext(FeatureContext::Build(reference, *config_, &rng));
+    context_ = std::make_shared<const FeatureContext>(
+        FeatureContext::Build(reference, *config_, &rng));
 
-    DatasetBuilder builder(context_);
+    DatasetBuilder builder(context_.get());
     Dataset train = builder.Build(*tables_, &rng);
     scaler_ = new features::FeatureScaler(StandardizeSplits(&train, nullptr));
-    model_ = new SatoModel(MakeModel(33));
+    model_ = std::make_shared<const SatoModel>(MakeModel(33));
   }
 
   static void TearDownTestSuite() {
-    delete model_;
+    model_.reset();
     delete scaler_;
-    delete context_;
+    context_.reset();
     delete config_;
     delete tables_;
   }
@@ -435,27 +433,27 @@ class ChaosServingTest : public ::testing::Test {
 
   /// The determinism oracle every kOk response must be byte-identical to.
   static std::vector<TypeId> Sequential(const Table& table, uint64_t seed) {
-    SatoPredictor predictor(model_, context_, *scaler_);
+    SatoPredictor predictor(model_.get(), context_.get(), *scaler_);
     util::Rng rng(seed);
     return predictor.PredictTable(table, &rng);
   }
 
   static std::vector<Table>* tables_;
   static SatoConfig* config_;
-  static FeatureContext* context_;
+  static std::shared_ptr<const FeatureContext> context_;
   static features::FeatureScaler* scaler_;
-  static SatoModel* model_;
+  static std::shared_ptr<const SatoModel> model_;
 };
 
 std::vector<Table>* ChaosServingTest::tables_ = nullptr;
 SatoConfig* ChaosServingTest::config_ = nullptr;
-FeatureContext* ChaosServingTest::context_ = nullptr;
+std::shared_ptr<const FeatureContext> ChaosServingTest::context_;
 features::FeatureScaler* ChaosServingTest::scaler_ = nullptr;
-SatoModel* ChaosServingTest::model_ = nullptr;
+std::shared_ptr<const SatoModel> ChaosServingTest::model_;
 
 TEST_F(ChaosServingTest, BackoffSequenceIsExactOnTheFakeClock) {
   ModelRegistry registry;
-  registry.PublishBorrowed(*model_, context_, *scaler_);
+  registry.Publish(model_, context_, *scaler_);
   PredictionServiceOptions sopts;
   sopts.num_threads = 1;
   PredictionService service(&registry, sopts);
@@ -513,7 +511,7 @@ TEST_F(ChaosServingTest, BackoffSequenceIsExactOnTheFakeClock) {
 
 TEST_F(ChaosServingTest, BackoffThatWouldOutliveTheDeadlineReturnsTypedError) {
   ModelRegistry registry;
-  registry.PublishBorrowed(*model_, context_, *scaler_);
+  registry.Publish(model_, context_, *scaler_);
   PredictionServiceOptions sopts;
   sopts.num_threads = 1;
   PredictionService service(&registry, sopts);
@@ -563,7 +561,7 @@ TEST_F(ChaosServingTest, BackoffThatWouldOutliveTheDeadlineReturnsTypedError) {
 TEST_F(ChaosServingTest, ExpiredDeadlineIsShedAtWorkerPickupTyped) {
   GateClock clock;
   ModelRegistry registry;
-  registry.PublishBorrowed(*model_, context_, *scaler_);
+  registry.Publish(model_, context_, *scaler_);
   PredictionServiceOptions options;
   options.num_threads = 1;
   options.clock = &clock;
@@ -592,7 +590,7 @@ TEST_F(ChaosServingTest, ExpiredDeadlineIsShedAtWorkerPickupTyped) {
 TEST_F(ChaosServingTest, WireDeadlinePropagatesAndShedsServerSide) {
   GateClock clock;
   ModelRegistry registry;
-  registry.PublishBorrowed(*model_, context_, *scaler_);
+  registry.Publish(model_, context_, *scaler_);
   PredictionServiceOptions sopts;
   sopts.num_threads = 1;
   sopts.clock = &clock;
@@ -665,7 +663,7 @@ class ChaosBatteryTest : public ChaosServingTest {
     CorrectionWal wal(wal_path, wal_opts);
     ModelRegistry registry;
     registry.AttachCorrectionWal(&wal);
-    registry.PublishBorrowed(*model_, context_, *scaler_);
+    registry.Publish(model_, context_, *scaler_);
     const uint64_t version = registry.current_version();
 
     ResultCacheOptions cache_opts;
@@ -727,7 +725,7 @@ class ChaosBatteryTest : public ChaosServingTest {
         }
         const size_t table_index = (c * requests_each + i) % tables_->size();
         const uint64_t request_seed =
-            BatchPredictor::TableSeed(seed + c, static_cast<uint64_t>(i));
+            util::TableSeed(seed + c, static_cast<uint64_t>(i));
         ClientResponse r =
             client.Predict((*tables_)[table_index], request_seed);
         if (r.transport_ok && r.body.status == WireStatus::kOk) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <new>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -558,6 +559,34 @@ TEST_F(CoreIntegrationTest, BundleRoundTripPreservesPredictions) {
               loaded.predictor->PredictTable(t, &rb))
         << t.id();
   }
+}
+
+// A bundle's bytes are a function of its contents: the padding of the
+// SatoConfig it writes raw is zeroed, not copied from whatever memory the
+// config and the model were built in.
+TEST_F(CoreIntegrationTest, BundleBytesDoNotDependOnStructPadding) {
+  Dataset train_copy = *train_;
+  const auto scaler = StandardizeSplits(&train_copy, nullptr);
+  auto save_from_memory_filled_with = [&](unsigned char fill) {
+    alignas(SatoConfig) unsigned char config_storage[sizeof(SatoConfig)];
+    std::memset(config_storage, fill, sizeof(config_storage));
+    const SatoConfig* config = new (config_storage) SatoConfig;
+    alignas(SatoModel) unsigned char model_storage[sizeof(SatoModel)];
+    std::memset(model_storage, fill, sizeof(model_storage));
+    util::Rng rng(61);
+    SatoModel* model = new (model_storage) SatoModel(
+        SatoVariant::kFull, Dims(), context_->topic_dim(), *config, &rng);
+    std::stringstream ss;
+    SaveSatoBundle(*model, *context_, scaler, &ss, "padding");
+    model->~SatoModel();
+    return ss.str();
+  };
+  const std::string zeroed = save_from_memory_filled_with(0x00);
+  const std::string filled = save_from_memory_filled_with(0xAB);
+  ASSERT_EQ(zeroed.size(), filled.size());
+  const auto diff = std::mismatch(zeroed.begin(), zeroed.end(), filled.begin());
+  EXPECT_TRUE(diff.first == zeroed.end())
+      << "bundles differ at byte " << (diff.first - zeroed.begin());
 }
 
 // Pre-manifest bundles (legacy magic, payload follows directly) must keep

@@ -45,51 +45,41 @@ class ModelRegistryTest : public ::testing::Test {
     config_ = new SatoConfig();
     config_->num_topics = 8;
     util::Rng rng(29);
-    context_ =
-        new FeatureContext(FeatureContext::Build(reference, *config_, &rng));
+    context_ = std::make_shared<const FeatureContext>(
+        FeatureContext::Build(reference, *config_, &rng));
 
-    DatasetBuilder builder(context_);
+    DatasetBuilder builder(context_.get());
     Dataset train = builder.Build(*tables_, &rng);
     scaler_ = new features::FeatureScaler(StandardizeSplits(&train, nullptr));
   }
 
   static void TearDownTestSuite() {
     delete scaler_;
-    delete context_;
+    context_.reset();
     delete config_;
     delete tables_;
   }
 
-  static SatoModel MakeModel(uint64_t seed) {
+  static std::shared_ptr<const SatoModel> MakeModel(uint64_t seed) {
     ColumnwiseModel::Dims dims;
     dims.char_dim = context_->pipeline().char_dim();
     dims.word_dim = context_->pipeline().word_dim();
     dims.para_dim = context_->pipeline().para_dim();
     dims.stat_dim = context_->pipeline().stat_dim();
     util::Rng rng(seed);
-    return SatoModel(SatoVariant::kFull, dims, context_->topic_dim(), *config_,
-                     &rng);
-  }
-
-  static std::shared_ptr<const SatoModel> MakeSharedModel(uint64_t seed) {
-    return std::make_shared<const SatoModel>(MakeModel(seed));
-  }
-
-  /// Non-owning alias of the suite-wide context (outlives every test).
-  static std::shared_ptr<const FeatureContext> SharedContext() {
-    return std::shared_ptr<const FeatureContext>(std::shared_ptr<void>(),
-                                                 context_);
+    return std::make_shared<const SatoModel>(
+        SatoVariant::kFull, dims, context_->topic_dim(), *config_, &rng);
   }
 
   static std::vector<Table>* tables_;
   static SatoConfig* config_;
-  static FeatureContext* context_;
+  static std::shared_ptr<const FeatureContext> context_;
   static features::FeatureScaler* scaler_;
 };
 
 std::vector<Table>* ModelRegistryTest::tables_ = nullptr;
 SatoConfig* ModelRegistryTest::config_ = nullptr;
-FeatureContext* ModelRegistryTest::context_ = nullptr;
+std::shared_ptr<const FeatureContext> ModelRegistryTest::context_;
 features::FeatureScaler* ModelRegistryTest::scaler_ = nullptr;
 
 // ------------------------------------------------ publish & versioning ----
@@ -107,10 +97,10 @@ TEST_F(ModelRegistryTest, CurrentIsNullBeforeTheFirstPublish) {
 
 TEST_F(ModelRegistryTest, PublishAssignsMonotonicVersionsAndDefaultTags) {
   ModelRegistry registry;
-  auto v1 = registry.Publish(MakeSharedModel(1), SharedContext(), *scaler_,
+  auto v1 = registry.Publish(MakeModel(1), context_, *scaler_,
                              "first");
-  auto v2 = registry.Publish(MakeSharedModel(2), SharedContext(), *scaler_);
-  auto v3 = registry.Publish(MakeSharedModel(3), SharedContext(), *scaler_);
+  auto v2 = registry.Publish(MakeModel(2), context_, *scaler_);
+  auto v3 = registry.Publish(MakeModel(3), context_, *scaler_);
 
   EXPECT_EQ(v1->version(), 1u);
   EXPECT_EQ(v2->version(), 2u);
@@ -130,27 +120,18 @@ TEST_F(ModelRegistryTest, PublishAssignsMonotonicVersionsAndDefaultTags) {
 
 TEST_F(ModelRegistryTest, PublishRejectsNullComponents) {
   ModelRegistry registry;
-  EXPECT_THROW(registry.Publish(nullptr, SharedContext(), *scaler_),
+  EXPECT_THROW(registry.Publish(nullptr, context_, *scaler_),
                std::invalid_argument);
-  EXPECT_THROW(registry.Publish(MakeSharedModel(1), nullptr, *scaler_),
+  EXPECT_THROW(registry.Publish(MakeModel(1), nullptr, *scaler_),
                std::invalid_argument);
-}
-
-TEST_F(ModelRegistryTest, BorrowedBundleIsVersionZero) {
-  const SatoModel model = MakeModel(5);
-  auto bundle = ModelBundle::Borrowed(model, context_, *scaler_);
-  EXPECT_EQ(bundle->version(), 0u);
-  EXPECT_EQ(bundle->tag(), "borrowed");
-  EXPECT_EQ(&bundle->model(), &model);
-  EXPECT_EQ(bundle->context(), context_);
 }
 
 // ----------------------------------------------------- RCU pin lifetime ----
 
 TEST_F(ModelRegistryTest, PinVersionRevivesLiveVersionsAndRefusesRetired) {
   ModelRegistry registry;
-  auto v1 = registry.Publish(MakeSharedModel(1), SharedContext(), *scaler_);
-  registry.Publish(MakeSharedModel(2), SharedContext(), *scaler_);
+  auto v1 = registry.Publish(MakeModel(1), context_, *scaler_);
+  registry.Publish(MakeModel(2), context_, *scaler_);
 
   // v1 is superseded but still pinned by us: PinVersion can revive it.
   auto pinned = registry.PinVersion(1);
@@ -174,16 +155,16 @@ TEST_F(ModelRegistryTest, SupersededBundleIsDestroyedWhenItsLastPinDrops) {
   std::weak_ptr<const SatoModel> model_alive;
   std::weak_ptr<const ModelBundle> bundle_alive;
   {
-    auto model = MakeSharedModel(7);
+    auto model = MakeModel(7);
     model_alive = model;
-    auto v1 = registry.Publish(std::move(model), SharedContext(), *scaler_);
+    auto v1 = registry.Publish(std::move(model), context_, *scaler_);
     bundle_alive = v1;
   }  // our pin dropped; the registry's current_ keeps v1 alive
 
   EXPECT_FALSE(bundle_alive.expired());
   EXPECT_FALSE(model_alive.expired());
 
-  registry.Publish(MakeSharedModel(8), SharedContext(), *scaler_);
+  registry.Publish(MakeModel(8), context_, *scaler_);
   // Superseded with no remaining pins: the bundle AND the model it owned
   // are gone -- publish never leaks retired versions.
   EXPECT_TRUE(bundle_alive.expired());
@@ -198,11 +179,11 @@ TEST_F(ModelRegistryTest, SupersededBundleIsDestroyedWhenItsLastPinDrops) {
 TEST_F(ModelRegistryTest, ServedCountsSurviveRetirement) {
   ModelRegistry registry;
   {
-    auto v1 = registry.Publish(MakeSharedModel(7), SharedContext(), *scaler_);
+    auto v1 = registry.Publish(MakeModel(7), context_, *scaler_);
     v1->RecordServed(5);
     EXPECT_EQ(v1->served(), 5u);
   }
-  registry.Publish(MakeSharedModel(8), SharedContext(), *scaler_);
+  registry.Publish(MakeModel(8), context_, *scaler_);
 
   RegistryStats stats = registry.Stats();
   ASSERT_EQ(stats.versions.size(), 2u);
@@ -215,10 +196,10 @@ TEST_F(ModelRegistryTest, ServedCountsSurviveRetirement) {
 
 TEST_F(ModelRegistryTest, BundlePredictorMatchesARawPredictorByteForByte) {
   ModelRegistry registry;
-  const SatoModel model = MakeModel(11);
-  auto bundle = registry.PublishBorrowed(model, context_, *scaler_, "ref");
+  const auto model = MakeModel(11);
+  auto bundle = registry.Publish(model, context_, *scaler_, "ref");
 
-  SatoPredictor raw(&model, context_, *scaler_);
+  SatoPredictor raw(model.get(), context_.get(), *scaler_);
   for (size_t i = 0; i < 5 && i < tables_->size(); ++i) {
     util::Rng bundle_rng(17 + i);
     util::Rng raw_rng(17 + i);
@@ -277,8 +258,8 @@ TEST_F(ModelRegistryTest, ConcurrentPublishAndPinIsSafe) {
   constexpr int kPerPublisher = 8;
   constexpr int kReaders = 4;
   ModelRegistry registry;
-  const SatoModel model = MakeModel(13);
-  registry.PublishBorrowed(model, context_, *scaler_, "seed");
+  const auto model = MakeModel(13);
+  registry.Publish(model, context_, *scaler_, "seed");
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reader_iterations{0};
@@ -286,7 +267,7 @@ TEST_F(ModelRegistryTest, ConcurrentPublishAndPinIsSafe) {
   for (int p = 0; p < kPublishers; ++p) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerPublisher; ++i) {
-        registry.PublishBorrowed(model, context_, *scaler_);
+        registry.Publish(model, context_, *scaler_);
       }
     });
   }

@@ -1,9 +1,11 @@
-// Tests for the serving subsystem: the ThreadPool and the BatchPredictor's
-// guarantee that parallel batch prediction is byte-identical to a
-// sequential SatoPredictor run for a fixed seed, at any worker count.
+// Tests for the serving subsystem's building blocks: the ThreadPool, and
+// PredictAll's guarantee that offline batch prediction through the
+// PredictionService is byte-identical to a sequential SatoPredictor run
+// for a fixed seed, at any worker count.
 
 #include <atomic>
-#include <set>
+#include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,10 +19,14 @@
 #include "core/predictor.h"
 #include "core/sato_model.h"
 #include "corpus/generator.h"
-#include "serve/batch_predictor.h"
+#include "serve/fault_injector.h"
+#include "serve/model_registry.h"
+#include "serve/prediction_service.h"
 #include "serve/thread_pool.h"
 #include "table/semantic_type.h"
 #include "util/rng.h"
+
+#include "gate_clock.h"
 
 namespace sato {
 namespace {
@@ -111,27 +117,17 @@ TEST(ThreadPoolTest, FirstEscapedExceptionWinsAndWaitClearsIt) {
   EXPECT_EQ(counter.load(), 1);
 }
 
-// ------------------------------------------------------- table seeding ----
+// ------------------------------------------------------------ PredictAll ----
 
-TEST(BatchPredictorSeedTest, TableSeedsAreDistinctAndStable) {
-  std::set<uint64_t> seeds;
-  for (size_t i = 0; i < 1000; ++i) {
-    seeds.insert(serve::BatchPredictor::TableSeed(7, i));
-  }
-  EXPECT_EQ(seeds.size(), 1000u);
-  // Stable across calls (pure function of base seed and index).
-  EXPECT_EQ(serve::BatchPredictor::TableSeed(7, 3),
-            serve::BatchPredictor::TableSeed(7, 3));
-  EXPECT_NE(serve::BatchPredictor::TableSeed(7, 3),
-            serve::BatchPredictor::TableSeed(8, 3));
-}
+using serve::ModelRegistry;
+using serve::PredictAll;
+using serve::PredictionService;
+using serve::PredictionServiceOptions;
 
-// ------------------------------------------------------ batch predictor ----
-
-// Shares one small corpus + feature context across all BatchPredictor
+// Shares one small corpus + feature context across all offline prediction
 // tests; models are untrained (random but seed-deterministic weights),
 // which exercises the identical prediction path at a fraction of the cost.
-class BatchPredictorTest : public ::testing::Test {
+class PredictAllTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     corpus::CorpusOptions copts;
@@ -145,40 +141,43 @@ class BatchPredictorTest : public ::testing::Test {
     config_ = new SatoConfig();
     config_->num_topics = 8;
     util::Rng rng(11);
-    context_ =
-        new FeatureContext(FeatureContext::Build(reference, *config_, &rng));
+    context_ = std::make_shared<const FeatureContext>(
+        FeatureContext::Build(reference, *config_, &rng));
 
-    DatasetBuilder builder(context_);
+    DatasetBuilder builder(context_.get());
     Dataset train = builder.Build(*tables_, &rng);
     scaler_ = new features::FeatureScaler(StandardizeSplits(&train, nullptr));
   }
 
   static void TearDownTestSuite() {
     delete scaler_;
-    delete context_;
+    context_.reset();
     delete config_;
     delete tables_;
   }
 
-  static SatoModel MakeModel(SatoVariant variant, uint64_t seed) {
+  static std::shared_ptr<const SatoModel> MakeModel(SatoVariant variant,
+                                                    uint64_t seed) {
     ColumnwiseModel::Dims dims;
     dims.char_dim = context_->pipeline().char_dim();
     dims.word_dim = context_->pipeline().word_dim();
     dims.para_dim = context_->pipeline().para_dim();
     dims.stat_dim = context_->pipeline().stat_dim();
     util::Rng rng(seed);
-    return SatoModel(variant, dims, context_->topic_dim(), *config_, &rng);
+    return std::make_shared<const SatoModel>(variant, dims,
+                                             context_->topic_dim(), *config_,
+                                             &rng);
   }
 
   // The sequential reference: SatoPredictor over each table in order, with
-  // the same per-table seed stream the BatchPredictor uses.
+  // the same per-table seed stream PredictAll uses.
   static std::vector<std::vector<TypeId>> SequentialReference(
-      SatoModel* model, uint64_t seed) {
-    SatoPredictor predictor(model, context_, *scaler_);
+      const SatoModel& model, uint64_t seed) {
+    SatoPredictor predictor(&model, context_.get(), *scaler_);
     std::vector<std::vector<TypeId>> out;
     out.reserve(tables_->size());
     for (size_t i = 0; i < tables_->size(); ++i) {
-      util::Rng rng(serve::BatchPredictor::TableSeed(seed, i));
+      util::Rng rng(util::TableSeed(seed, i));
       out.push_back(predictor.PredictTable((*tables_)[i], &rng));
     }
     return out;
@@ -186,114 +185,145 @@ class BatchPredictorTest : public ::testing::Test {
 
   static std::vector<Table>* tables_;
   static SatoConfig* config_;
-  static FeatureContext* context_;
+  static std::shared_ptr<const FeatureContext> context_;
   static features::FeatureScaler* scaler_;
 };
 
-std::vector<Table>* BatchPredictorTest::tables_ = nullptr;
-SatoConfig* BatchPredictorTest::config_ = nullptr;
-FeatureContext* BatchPredictorTest::context_ = nullptr;
-features::FeatureScaler* BatchPredictorTest::scaler_ = nullptr;
+std::vector<Table>* PredictAllTest::tables_ = nullptr;
+SatoConfig* PredictAllTest::config_ = nullptr;
+std::shared_ptr<const FeatureContext> PredictAllTest::context_;
+features::FeatureScaler* PredictAllTest::scaler_ = nullptr;
+
+// Offline batch prediction: PredictAll over a PredictionService on a
+// registry holding one published model must equal the sequential
+// reference, at any worker count.
+class BatchPredictorTest : public PredictAllTest {
+ protected:
+  static PredictionServiceOptions BatchOptions(size_t threads) {
+    PredictionServiceOptions options;
+    options.num_threads = threads;
+    options.queue_capacity = tables_->size();
+    return options;
+  }
+};
 
 TEST_F(BatchPredictorTest, MatchesSequentialAcrossWorkerCounts) {
   constexpr uint64_t kSeed = 5;
-  SatoModel model = MakeModel(SatoVariant::kFull, 17);
-  auto reference = SequentialReference(&model, kSeed);
+  auto model = MakeModel(SatoVariant::kFull, 17);
+  auto reference = SequentialReference(*model, kSeed);
   ASSERT_EQ(reference.size(), tables_->size());
+  ModelRegistry registry;
+  registry.Publish(model, context_, *scaler_);
 
   for (size_t threads : {1u, 2u, 8u}) {
-    serve::BatchPredictorOptions options;
-    options.num_threads = threads;
-    options.seed = kSeed;
-    serve::BatchPredictor batch(model, context_, *scaler_, options);
-    EXPECT_EQ(batch.num_threads(), threads);
-    auto results = batch.PredictTables(*tables_);
-    EXPECT_EQ(results, reference) << "thread count " << threads;
+    PredictionService service(&registry, BatchOptions(threads));
+    EXPECT_EQ(service.num_threads(), threads);
+    EXPECT_EQ(PredictAll(&service, *tables_, kSeed), reference)
+        << "thread count " << threads;
   }
 }
 
 TEST_F(BatchPredictorTest, MatchesSequentialForUnstructuredVariant) {
   constexpr uint64_t kSeed = 9;
-  SatoModel model = MakeModel(SatoVariant::kBase, 23);
-  auto reference = SequentialReference(&model, kSeed);
+  auto model = MakeModel(SatoVariant::kBase, 23);
+  auto reference = SequentialReference(*model, kSeed);
+  ModelRegistry registry;
+  registry.Publish(model, context_, *scaler_);
 
-  serve::BatchPredictorOptions options;
-  options.num_threads = 4;
-  options.seed = kSeed;
-  serve::BatchPredictor batch(model, context_, *scaler_, options);
-  EXPECT_EQ(batch.PredictTables(*tables_), reference);
+  PredictionService service(&registry, BatchOptions(4));
+  EXPECT_EQ(PredictAll(&service, *tables_, kSeed), reference);
 }
 
+// A second pass over the now warm workers equals the first.
 TEST_F(BatchPredictorTest, RepeatedBatchesAreIdentical) {
-  SatoModel model = MakeModel(SatoVariant::kFull, 17);
-  serve::BatchPredictorOptions options;
-  options.num_threads = 2;
-  options.seed = 5;
-  serve::BatchPredictor batch(model, context_, *scaler_, options);
-  auto first = batch.PredictTables(*tables_);
-  auto second = batch.PredictTables(*tables_);
+  constexpr uint64_t kSeed = 5;
+  ModelRegistry registry;
+  registry.Publish(MakeModel(SatoVariant::kFull, 17), context_, *scaler_);
+
+  PredictionService service(&registry, BatchOptions(2));
+  auto first = PredictAll(&service, *tables_, kSeed);
+  auto second = PredictAll(&service, *tables_, kSeed);
+  EXPECT_EQ(first.size(), tables_->size());
   EXPECT_EQ(first, second);
 }
 
-TEST_F(BatchPredictorTest, SteadyStateFeaturizationDoesNotGrowScratch) {
-  SatoModel model = MakeModel(SatoVariant::kFull, 17);
-  serve::BatchPredictorOptions options;
-  // One worker so every table lands on the same scratch: with dynamic
-  // scheduling a multi-worker run could legitimately route the largest
-  // table to a not-yet-warm worker.
-  options.num_threads = 1;
-  options.seed = 5;
-  serve::BatchPredictor batch(model, context_, *scaler_, options);
-  batch.PredictTables(*tables_);  // warm-up: scratches reach high water
-  batch.PredictTables(*tables_);
-  size_t growth_before = batch.FeaturizeGrowthEvents();
-  size_t bytes_before = batch.WorkspaceBytes();
-  batch.PredictTables(*tables_);
-  // Warm steady state: per-worker featurization scratch stops growing.
-  EXPECT_EQ(batch.FeaturizeGrowthEvents(), growth_before);
-  EXPECT_EQ(batch.WorkspaceBytes(), bytes_before);
+TEST_F(BatchPredictorTest, EmptyBatchYieldsEmptyResult) {
+  ModelRegistry registry;
+  registry.Publish(MakeModel(SatoVariant::kFull, 17), context_, *scaler_);
+
+  PredictionService service(&registry, BatchOptions(2));
+  EXPECT_TRUE(PredictAll(&service, {}, 5).empty());
 }
 
-TEST_F(BatchPredictorTest, PredictTypeNamesMatchesIds) {
-  SatoModel model = MakeModel(SatoVariant::kFull, 17);
-  serve::BatchPredictorOptions options;
-  options.num_threads = 2;
-  options.seed = 5;
-  serve::BatchPredictor batch(model, context_, *scaler_, options);
+// Every table must be served: a request the admission queue rejects, or
+// one whose prediction throws, fails the whole batch instead of leaving a
+// gap in it.
+TEST_F(PredictAllTest, ThrowsUnlessEveryTableIsServed) {
+  ModelRegistry registry;
+  registry.Publish(MakeModel(SatoVariant::kFull, 17), context_, *scaler_);
 
-  std::vector<Table> subset(tables_->begin(),
-                            tables_->begin() + std::min<size_t>(10, tables_->size()));
-  auto ids = batch.PredictTables(subset);
-  auto names = batch.PredictTypeNames(subset);
-  ASSERT_EQ(ids.size(), names.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ASSERT_EQ(ids[i].size(), names[i].size());
-    for (size_t c = 0; c < ids[i].size(); ++c) {
-      EXPECT_EQ(names[i][c], TypeName(ids[i][c]));
+  {
+    // queue_capacity 1, and the only worker is held inside table 0 until
+    // table 1 has been turned away.
+    testutil::GateClock clock;
+    PredictionServiceOptions options;
+    options.num_threads = 1;
+    options.queue_capacity = 1;
+    options.clock = &clock;
+    PredictionService service(&registry, options);
+    std::thread releaser([&] {
+      clock.AwaitHeld();
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (service.Stats().rejected == 0 &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      clock.Release();
+    });
+    EXPECT_THROW(PredictAll(&service, *tables_, 5), std::runtime_error);
+    releaser.join();
+    EXPECT_GE(service.Stats().rejected, 1u);
+  }
+
+  {
+    serve::FaultPlan plan;
+    plan.Set(serve::FaultPoint::kDispatchThrow, 1'000'000);
+    serve::FaultInjector injector(/*seed=*/1, plan);
+    PredictionServiceOptions options;
+    options.queue_capacity = tables_->size();
+    options.fault_injector = &injector;
+    PredictionService service(&registry, options);
+    try {
+      PredictAll(&service, *tables_, 5);
+      ADD_FAILURE() << "a failed prediction must fail the batch";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "injected dispatch fault");  // rethrown as is
     }
   }
 }
 
-TEST_F(BatchPredictorTest, EmptyBatchYieldsEmptyResult) {
-  SatoModel model = MakeModel(SatoVariant::kFull, 17);
-  serve::BatchPredictorOptions options;
-  options.num_threads = 2;
-  serve::BatchPredictor batch(model, context_, *scaler_, options);
-  EXPECT_TRUE(batch.PredictTables({}).empty());
-}
+// Offline batches pin the version per request, so PredictAll checks that
+// one version served them all: a publish that lands mid-batch throws.
+TEST_F(PredictAllTest, ThrowsWhenABatchStraddlesAPublish) {
+  ModelRegistry registry;
+  registry.Publish(MakeModel(SatoVariant::kFull, 17), context_, *scaler_);
+  testutil::GateClock clock;
+  PredictionServiceOptions options;
+  options.num_threads = 1;
+  options.queue_capacity = tables_->size();
+  options.clock = &clock;
+  PredictionService service(&registry, options);
 
-TEST_F(BatchPredictorTest, SharesExactlyOneModelInstance) {
-  SatoModel model = MakeModel(SatoVariant::kFull, 17);
-  serve::BatchPredictorOptions options;
-  options.num_threads = 8;
-  serve::BatchPredictor batch(model, context_, *scaler_, options);
-  // No replicas: the model the workers read IS the caller's instance,
-  // wrapped in an unregistered (version 0) borrowed bundle. The bundle
-  // snapshot accessor replaced the old `const SatoModel&` accessor, which
-  // would dangle under hot-swappable ownership.
-  ASSERT_NE(batch.bundle(), nullptr);
-  EXPECT_EQ(&batch.bundle()->model(), &model);
-  EXPECT_EQ(batch.model_version(), 0u);
+  // The only worker pins version 1 for table 0 and is held there; every
+  // later table is picked up after version 2 is published.
+  std::thread publisher([&] {
+    clock.AwaitHeld();
+    registry.Publish(MakeModel(SatoVariant::kFull, 18), context_, *scaler_);
+    clock.Release();
+  });
+  EXPECT_THROW(PredictAll(&service, *tables_, 5), std::runtime_error);
+  publisher.join();
 }
 
 // ------------------------------------------------ shared-model re-entrancy ----
@@ -302,17 +332,17 @@ TEST_F(BatchPredictorTest, SharesExactlyOneModelInstance) {
 // each with its own Workspace; every output must be byte-identical to the
 // single-threaded run. This is the property the whole serving design
 // rests on: the Apply path writes nothing to the model.
-TEST_F(BatchPredictorTest, ConcurrentPredictProbsOnSharedModelIsByteIdentical) {
+TEST_F(PredictAllTest, ConcurrentPredictProbsOnSharedModelIsByteIdentical) {
   constexpr uint64_t kSeed = 41;
   constexpr size_t kThreads = 8;
-  const SatoModel model = MakeModel(SatoVariant::kFull, 29);
-  const SatoPredictor predictor(&model, context_, *scaler_);
+  const auto model = MakeModel(SatoVariant::kFull, 29);
+  const SatoPredictor predictor(model.get(), context_.get(), *scaler_);
   const size_t n = std::min<size_t>(64, tables_->size());
 
   // Sequential reference (fresh Rng per table, same seed stream).
   std::vector<nn::Matrix> reference(n);
   for (size_t i = 0; i < n; ++i) {
-    util::Rng rng(serve::BatchPredictor::TableSeed(kSeed, i));
+    util::Rng rng(util::TableSeed(kSeed, i));
     reference[i] = predictor.PredictProbs((*tables_)[i], &rng);
   }
 
@@ -325,7 +355,7 @@ TEST_F(BatchPredictorTest, ConcurrentPredictProbsOnSharedModelIsByteIdentical) {
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (size_t i = t; i < n; i += kThreads) {
-        util::Rng rng(serve::BatchPredictor::TableSeed(kSeed, i));
+        util::Rng rng(util::TableSeed(kSeed, i));
         concurrent[i] =
             predictor.PredictProbs((*tables_)[i], &rng, &workspaces[t]);
       }
@@ -341,16 +371,16 @@ TEST_F(BatchPredictorTest, ConcurrentPredictProbsOnSharedModelIsByteIdentical) {
 // Same property through SatoModel::Predict (CRF Viterbi decode included),
 // re-running each thread's slice twice so workspace *reuse* is exercised
 // under concurrency, not just first-touch.
-TEST_F(BatchPredictorTest, ConcurrentPredictWithWorkspaceReuseMatches) {
+TEST_F(PredictAllTest, ConcurrentPredictWithWorkspaceReuseMatches) {
   constexpr uint64_t kSeed = 43;
   constexpr size_t kThreads = 4;
-  const SatoModel model = MakeModel(SatoVariant::kFull, 17);
-  const SatoPredictor predictor(&model, context_, *scaler_);
+  const auto model = MakeModel(SatoVariant::kFull, 17);
+  const SatoPredictor predictor(model.get(), context_.get(), *scaler_);
   const size_t n = std::min<size_t>(40, tables_->size());
 
   std::vector<std::vector<TypeId>> reference(n);
   for (size_t i = 0; i < n; ++i) {
-    util::Rng rng(serve::BatchPredictor::TableSeed(kSeed, i));
+    util::Rng rng(util::TableSeed(kSeed, i));
     reference[i] = predictor.PredictTable((*tables_)[i], &rng);
   }
 
@@ -361,7 +391,7 @@ TEST_F(BatchPredictorTest, ConcurrentPredictWithWorkspaceReuseMatches) {
     for (size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         for (size_t i = t; i < n; i += kThreads) {
-          util::Rng rng(serve::BatchPredictor::TableSeed(kSeed, i));
+          util::Rng rng(util::TableSeed(kSeed, i));
           concurrent[i] =
               predictor.PredictTable((*tables_)[i], &rng, &workspaces[t]);
         }

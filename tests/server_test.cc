@@ -22,7 +22,6 @@
 #include "core/predictor.h"
 #include "core/sato_model.h"
 #include "corpus/generator.h"
-#include "serve/batch_predictor.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
 #include "serve/result_cache.h"
@@ -241,19 +240,19 @@ class ServerTest : public ::testing::Test {
     config_ = new SatoConfig();
     config_->num_topics = 8;
     util::Rng rng(29);
-    context_ =
-        new FeatureContext(FeatureContext::Build(reference, *config_, &rng));
+    context_ = std::make_shared<const FeatureContext>(
+        FeatureContext::Build(reference, *config_, &rng));
 
-    DatasetBuilder builder(context_);
+    DatasetBuilder builder(context_.get());
     Dataset train = builder.Build(*tables_, &rng);
     scaler_ = new features::FeatureScaler(StandardizeSplits(&train, nullptr));
-    model_ = new SatoModel(MakeModel(7));
+    model_ = std::make_shared<const SatoModel>(MakeModel(7));
   }
 
   static void TearDownTestSuite() {
-    delete model_;
+    model_.reset();
     delete scaler_;
-    delete context_;
+    context_.reset();
     delete config_;
     delete tables_;
   }
@@ -270,13 +269,13 @@ class ServerTest : public ::testing::Test {
   }
 
   static std::vector<TypeId> Sequential(const Table& table, uint64_t seed) {
-    SatoPredictor predictor(model_, context_, *scaler_);
+    SatoPredictor predictor(model_.get(), context_.get(), *scaler_);
     util::Rng rng(seed);
     return predictor.PredictTable(table, &rng);
   }
 
   static uint64_t SeedFor(size_t i) {
-    return serve::BatchPredictor::TableSeed(1, i);
+    return util::TableSeed(1, i);
   }
 
   /// Registry + service + listening server over the shared model. Every
@@ -298,7 +297,7 @@ class ServerTest : public ::testing::Test {
   static std::unique_ptr<Harness> MakeHarness(ServerOptions server_options = {},
                                               bool with_cache = false) {
     auto harness = std::make_unique<Harness>();
-    harness->registry.PublishBorrowed(*model_, context_, *scaler_, "wire");
+    harness->registry.Publish(model_, context_, *scaler_, "wire");
     if (with_cache) harness->cache = std::make_unique<ResultCache>();
     PredictionServiceOptions options;
     options.num_threads = 2;
@@ -313,16 +312,16 @@ class ServerTest : public ::testing::Test {
 
   static std::vector<Table>* tables_;
   static SatoConfig* config_;
-  static FeatureContext* context_;
+  static std::shared_ptr<const FeatureContext> context_;
   static features::FeatureScaler* scaler_;
-  static SatoModel* model_;
+  static std::shared_ptr<const SatoModel> model_;
 };
 
 std::vector<Table>* ServerTest::tables_ = nullptr;
 SatoConfig* ServerTest::config_ = nullptr;
-FeatureContext* ServerTest::context_ = nullptr;
+std::shared_ptr<const FeatureContext> ServerTest::context_;
 features::FeatureScaler* ServerTest::scaler_ = nullptr;
-SatoModel* ServerTest::model_ = nullptr;
+std::shared_ptr<const SatoModel> ServerTest::model_;
 
 TEST_F(ServerTest, PingEchoesRequestIdWithResponseBit) {
   auto harness = MakeHarness();

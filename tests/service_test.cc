@@ -20,7 +20,6 @@
 #include "core/predictor.h"
 #include "core/sato_model.h"
 #include "corpus/generator.h"
-#include "serve/batch_predictor.h"
 #include "serve/clock.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
@@ -61,38 +60,39 @@ class PredictionServiceTest : public ::testing::Test {
     config_ = new SatoConfig();
     config_->num_topics = 8;
     util::Rng rng(19);
-    context_ =
-        new FeatureContext(FeatureContext::Build(reference, *config_, &rng));
+    context_ = std::make_shared<const FeatureContext>(
+        FeatureContext::Build(reference, *config_, &rng));
 
-    DatasetBuilder builder(context_);
+    DatasetBuilder builder(context_.get());
     Dataset train = builder.Build(*tables_, &rng);
     scaler_ = new features::FeatureScaler(StandardizeSplits(&train, nullptr));
   }
 
   static void TearDownTestSuite() {
     delete scaler_;
-    delete context_;
+    context_.reset();
     delete config_;
     delete tables_;
   }
 
-  static SatoModel MakeModel(uint64_t seed) {
+  static std::shared_ptr<const SatoModel> MakeModel(uint64_t seed) {
     ColumnwiseModel::Dims dims;
     dims.char_dim = context_->pipeline().char_dim();
     dims.word_dim = context_->pipeline().word_dim();
     dims.para_dim = context_->pipeline().para_dim();
     dims.stat_dim = context_->pipeline().stat_dim();
     util::Rng rng(seed);
-    return SatoModel(SatoVariant::kFull, dims, context_->topic_dim(), *config_,
-                     &rng);
+    return std::make_shared<const SatoModel>(
+        SatoVariant::kFull, dims, context_->topic_dim(), *config_, &rng);
   }
 
   /// The determinism oracle: a sequential SatoPredictor run over `table`
   /// with the request's own seed -- what every service response must be
   /// byte-identical to, regardless of scheduling or workers.
-  static std::vector<TypeId> Sequential(const SatoModel& model,
-                                        const Table& table, uint64_t seed) {
-    SatoPredictor predictor(&model, context_, *scaler_);
+  static std::vector<TypeId> Sequential(
+      const std::shared_ptr<const SatoModel>& model, const Table& table,
+      uint64_t seed) {
+    SatoPredictor predictor(model.get(), context_.get(), *scaler_);
     util::Rng rng(seed);
     return predictor.PredictTable(table, &rng);
   }
@@ -100,10 +100,11 @@ class PredictionServiceTest : public ::testing::Test {
   /// Sequential oracle against an explicit context/scaler (the hot-swap
   /// tests serve bundles whose featurization state differs per version).
   static std::vector<TypeId> SequentialWith(
-      const SatoModel& model, const FeatureContext* context,
+      const std::shared_ptr<const SatoModel>& model,
+      const std::shared_ptr<const FeatureContext>& context,
       const features::FeatureScaler& scaler, const Table& table,
       uint64_t seed) {
-    SatoPredictor predictor(&model, context, scaler);
+    SatoPredictor predictor(model.get(), context.get(), scaler);
     util::Rng rng(seed);
     return predictor.PredictTable(table, &rng);
   }
@@ -117,13 +118,13 @@ class PredictionServiceTest : public ::testing::Test {
 
   static std::vector<Table>* tables_;
   static SatoConfig* config_;
-  static FeatureContext* context_;
+  static std::shared_ptr<const FeatureContext> context_;
   static features::FeatureScaler* scaler_;
 };
 
 std::vector<Table>* PredictionServiceTest::tables_ = nullptr;
 SatoConfig* PredictionServiceTest::config_ = nullptr;
-FeatureContext* PredictionServiceTest::context_ = nullptr;
+std::shared_ptr<const FeatureContext> PredictionServiceTest::context_;
 features::FeatureScaler* PredictionServiceTest::scaler_ = nullptr;
 
 // ------------------------------------------- multi-producer determinism ----
@@ -139,7 +140,9 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
   constexpr size_t kPerClient = 10;
   constexpr size_t kTotal = kClients * kPerClient;
   constexpr uint64_t kBase = 77;
-  const SatoModel model = MakeModel(17);
+  const auto model = MakeModel(17);
+  ModelRegistry registry;
+  registry.Publish(model, context_, *scaler_);
 
   // Fixed randomized workload: request r predicts a random corpus table
   // with the seed stream TableSeed(kBase, r).
@@ -150,14 +153,14 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
     table_of[r] = static_cast<size_t>(
         pick.UniformInt(0, static_cast<int64_t>(tables_->size()) - 1));
     expected[r] = Sequential(model, (*tables_)[table_of[r]],
-                             serve::BatchPredictor::TableSeed(kBase, r));
+                             util::TableSeed(kBase, r));
   }
 
   for (size_t workers : {1u, 2u, 8u}) {
     for (size_t burst : {size_t{1}, size_t{4}, kPerClient}) {
       PredictionServiceOptions options;
       options.num_threads = workers;
-      PredictionService service(model, context_, *scaler_, options);
+      PredictionService service(&registry, options);
 
       std::vector<PredictionHandle> handles(kTotal);
       std::vector<std::thread> clients;
@@ -168,7 +171,7 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
             const size_t r = c * kPerClient + j;
             handles[r] =
                 service.Submit((*tables_)[table_of[r]],
-                               serve::BatchPredictor::TableSeed(kBase, r));
+                               util::TableSeed(kBase, r));
             if ((j + 1) % burst == 0) {
               // End of a burst: wait for it before submitting the next.
               for (size_t k = r + 1 - burst; k <= r; ++k) handles[k].Get();
@@ -202,10 +205,11 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
 // on the request path waits on a timer. Its measured latency is exactly
 // zero on that clock, which pins the latency stats as well.
 TEST_F(PredictionServiceTest, LoneRequestCompletesWithoutTheClockMoving) {
-  const SatoModel model = MakeModel(23);
+  const auto model = MakeModel(23);
+  ModelRegistry registry;
+  registry.Publish(model, context_, *scaler_);
   FakeClock clock;
-  PredictionService service(model, context_, *scaler_,
-                            FakeClockOptions(&clock));
+  PredictionService service(&registry, FakeClockOptions(&clock));
 
   PredictionHandle handle = service.Submit((*tables_)[0], 5);
   const serve::PredictionResult& result = handle.Get();
@@ -224,10 +228,11 @@ TEST_F(PredictionServiceTest, LoneRequestCompletesWithoutTheClockMoving) {
 // parked waiters, advancing time fires nothing, and new submissions are
 // turned away with kShutdown.
 TEST_F(PredictionServiceTest, NoTimerFiresAfterShutdown) {
-  const SatoModel model = MakeModel(23);
+  const auto model = MakeModel(23);
+  ModelRegistry registry;
+  registry.Publish(model, context_, *scaler_);
   FakeClock clock;
-  PredictionService service(model, context_, *scaler_,
-                            FakeClockOptions(&clock));
+  PredictionService service(&registry, FakeClockOptions(&clock));
 
   PredictionHandle queued = service.Submit((*tables_)[1], 9);
   service.Shutdown();  // drains: the queued request completes
@@ -255,19 +260,21 @@ TEST_F(PredictionServiceTest, NoTimerFiresAfterShutdown) {
 // slots again. The single worker is held inside the first request, so the
 // other two wait in the pool queue.
 TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
-  const SatoModel model = MakeModel(31);
+  const auto model = MakeModel(31);
+  ModelRegistry registry;
+  registry.Publish(model, context_, *scaler_);
   GateClock clock;
   PredictionServiceOptions options = FakeClockOptions(&clock);
   options.queue_capacity = 3;
-  PredictionService service(model, context_, *scaler_, options);
+  PredictionService service(&registry, options);
 
   std::vector<PredictionHandle> admitted;
   admitted.push_back(
-      service.Submit((*tables_)[0], serve::BatchPredictor::TableSeed(11, 0)));
+      service.Submit((*tables_)[0], util::TableSeed(11, 0)));
   clock.AwaitHeld();  // the worker is parked inside request 0
   for (size_t i = 1; i < 3; ++i) {
     admitted.push_back(service.Submit(
-        (*tables_)[i], serve::BatchPredictor::TableSeed(11, i)));
+        (*tables_)[i], util::TableSeed(11, i)));
   }
 
   PredictionHandle overflow = service.Submit((*tables_)[3], 1);
@@ -288,7 +295,7 @@ TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
     EXPECT_EQ(result.status, RequestStatus::kOk);
     EXPECT_EQ(result.type_ids,
               Sequential(model, (*tables_)[i],
-                         serve::BatchPredictor::TableSeed(11, i)));
+                         util::TableSeed(11, i)));
   }
 
   // Admission has resumed: the next submit is served, not rejected.
@@ -303,15 +310,16 @@ TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
 // shutdown are rejected.
 TEST_F(PredictionServiceTest, ShutdownWhileQueuedCompletesQueuedRequests) {
   constexpr size_t kQueued = 6;
-  const SatoModel model = MakeModel(31);
+  const auto model = MakeModel(31);
+  ModelRegistry registry;
+  registry.Publish(model, context_, *scaler_);
   GateClock clock;
-  PredictionService service(model, context_, *scaler_,
-                            FakeClockOptions(&clock));
+  PredictionService service(&registry, FakeClockOptions(&clock));
 
   std::vector<PredictionHandle> handles;
   for (size_t i = 0; i < kQueued; ++i) {
     handles.push_back(service.Submit(
-        (*tables_)[i], serve::BatchPredictor::TableSeed(13, i)));
+        (*tables_)[i], util::TableSeed(13, i)));
     if (i == 0) clock.AwaitHeld();  // the other five wait in the pool queue
   }
   std::thread shutdown([&service] { service.Shutdown(); });
@@ -323,7 +331,7 @@ TEST_F(PredictionServiceTest, ShutdownWhileQueuedCompletesQueuedRequests) {
     EXPECT_EQ(result.status, RequestStatus::kOk) << "request " << i;
     EXPECT_EQ(result.type_ids,
               Sequential(model, (*tables_)[i],
-                         serve::BatchPredictor::TableSeed(13, i)))
+                         util::TableSeed(13, i)))
         << "request " << i;
   }
   EXPECT_EQ(service.Stats().completed, kQueued);
@@ -334,24 +342,21 @@ TEST_F(PredictionServiceTest, ShutdownWhileQueuedCompletesQueuedRequests) {
 
 // ----------------------------------------------------------- hot swap ----
 
-// Every response names the version that produced it; the snapshot
-// accessors expose the same version (they replaced the `const SatoModel&`
-// accessor that would now dangle across swaps), and a rejected request --
-// which never reached a model -- reports version 0.
+// Every response names the registry version that produced it, and a
+// rejected request -- which never reached a model -- reports version 0,
+// which no bundle carries.
 TEST_F(PredictionServiceTest, ResponsesCarryTheProducingModelVersion) {
-  const SatoModel model = MakeModel(37);
+  const auto model = MakeModel(37);
   ModelRegistry registry;
-  registry.PublishBorrowed(model, context_, *scaler_, "only");
+  registry.Publish(model, context_, *scaler_, "only");
 
   FakeClock clock;
   PredictionServiceOptions options = FakeClockOptions(&clock);
   options.queue_capacity = 1;
   PredictionService service(&registry, options);
 
-  EXPECT_EQ(service.model_version(), 1u);
-  ASSERT_NE(service.bundle(), nullptr);
-  EXPECT_EQ(service.bundle()->version(), 1u);
-  EXPECT_EQ(service.bundle()->tag(), "only");
+  EXPECT_EQ(registry.current_version(), 1u);
+  EXPECT_EQ(registry.Current()->tag(), "only");
   EXPECT_EQ(service.registry(), &registry);
 
   PredictionHandle handle = service.Submit((*tables_)[0], 5);
@@ -379,21 +384,6 @@ TEST_F(PredictionServiceTest, ConstructionRequiresAPublishedVersion) {
   EXPECT_THROW(PredictionService(nullptr, options), std::invalid_argument);
 }
 
-// The compat constructor builds an internal single-version registry: the
-// borrowed model serves as version 1 and the registry is reachable for
-// corrections.
-TEST_F(PredictionServiceTest, CompatConstructorServesAnInternalRegistry) {
-  const SatoModel model = MakeModel(37);
-  PredictionServiceOptions options;
-  PredictionService service(model, context_, *scaler_, options);
-  EXPECT_EQ(service.model_version(), 1u);
-  ASSERT_NE(service.bundle(), nullptr);
-  EXPECT_EQ(&service.bundle()->model(), &model);  // borrowed, not copied
-  ASSERT_NE(service.registry(), nullptr);
-  EXPECT_TRUE(service.registry()->SubmitCorrection({"col", 2, 1}));
-  EXPECT_EQ(service.registry()->Stats().corrections_submitted, 1u);
-}
-
 // The swap battery: three versions with DIFFERENT weights roll out while
 // multi-producer closed-loop clients hammer the service, at 1/2/8 workers.
 // Asserts (a) every response's model_version was actually published,
@@ -407,10 +397,11 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
   constexpr size_t kPerClient = 12;
   constexpr size_t kTotal = kClients * kPerClient;
   constexpr uint64_t kBase = 101;
-  const SatoModel model_a = MakeModel(41);
-  const SatoModel model_b = MakeModel(42);
-  const SatoModel model_c = MakeModel(43);
-  const SatoModel* models[] = {&model_a, &model_b, &model_c};
+  const auto model_a = MakeModel(41);
+  const auto model_b = MakeModel(42);
+  const auto model_c = MakeModel(43);
+  const std::shared_ptr<const SatoModel> models[] = {model_a, model_b,
+                                                     model_c};
 
   util::Rng pick(2024);
   std::vector<size_t> table_of(kTotal);
@@ -421,7 +412,7 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
 
   for (size_t workers : {1u, 2u, 8u}) {
     ModelRegistry registry;
-    registry.PublishBorrowed(model_a, context_, *scaler_, "A");
+    registry.Publish(model_a, context_, *scaler_, "A");
     std::weak_ptr<const ModelBundle> v1_alive = registry.Current();
 
     PredictionServiceOptions options;
@@ -452,10 +443,10 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
       wait_until("the first third to complete", [&] {
         return service.Stats().completed >= kTotal / 3;
       });
-      registry.PublishBorrowed(model_b, context_, *scaler_, "B");
+      registry.Publish(model_b, context_, *scaler_, "B");
       wait_until("a worker to pin B",
                  [&] { return service.Stats().model_swaps >= 1; });
-      registry.PublishBorrowed(model_c, context_, *scaler_, "C");
+      registry.Publish(model_c, context_, *scaler_, "C");
     });
 
     std::vector<PredictionHandle> handles(kTotal);
@@ -471,7 +462,7 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
           const size_t r = c * kPerClient + j;
           handles[r] =
               service.Submit((*tables_)[table_of[r]],
-                             serve::BatchPredictor::TableSeed(kBase, r));
+                             util::TableSeed(kBase, r));
           handles[r].Get();  // closed loop: next submit after completion
         }
       });
@@ -494,9 +485,9 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
       ASSERT_LE(result.model_version, 3u) << "request " << r;
       (result.model_version == 1 ? on_first : on_later) += 1;
       EXPECT_EQ(result.type_ids,
-                Sequential(*models[result.model_version - 1],
+                Sequential(models[result.model_version - 1],
                            (*tables_)[table_of[r]],
-                           serve::BatchPredictor::TableSeed(kBase, r)))
+                           util::TableSeed(kBase, r)))
           << "workers " << workers << " request " << r << " version "
           << result.model_version;
     }
@@ -532,7 +523,7 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
 // context returns. Responses around both swaps stay byte-identical to
 // sequential predictors built on the matching context.
 TEST_F(PredictionServiceTest, ContextSwapRebindsWorkerScratches) {
-  const SatoModel model_a = MakeModel(51);
+  const auto model_a = MakeModel(51);
 
   // An independently built featurization state: different reference
   // corpus, so different vocabulary, TF-IDF and LDA parameters.
@@ -542,23 +533,23 @@ TEST_F(PredictionServiceTest, ContextSwapRebindsWorkerScratches) {
   corpus::CorpusGenerator gen(copts);
   auto reference_b = gen.GenerateWith(60, 777);
   util::Rng rng_b(57);
-  FeatureContext context_b =
-      FeatureContext::Build(reference_b, *config_, &rng_b);
-  DatasetBuilder builder(&context_b);
+  auto context_b = std::make_shared<const FeatureContext>(
+      FeatureContext::Build(reference_b, *config_, &rng_b));
+  DatasetBuilder builder(context_b.get());
   auto corpus_b = gen.Generate();
   Dataset train_b = builder.Build(corpus_b, &rng_b);
   features::FeatureScaler scaler_b = StandardizeSplits(&train_b, nullptr);
   ColumnwiseModel::Dims dims_b;
-  dims_b.char_dim = context_b.pipeline().char_dim();
-  dims_b.word_dim = context_b.pipeline().word_dim();
-  dims_b.para_dim = context_b.pipeline().para_dim();
-  dims_b.stat_dim = context_b.pipeline().stat_dim();
+  dims_b.char_dim = context_b->pipeline().char_dim();
+  dims_b.word_dim = context_b->pipeline().word_dim();
+  dims_b.para_dim = context_b->pipeline().para_dim();
+  dims_b.stat_dim = context_b->pipeline().stat_dim();
   util::Rng mrng(58);
-  SatoModel model_b(SatoVariant::kFull, dims_b, context_b.topic_dim(),
-                    *config_, &mrng);
+  auto model_b = std::make_shared<const SatoModel>(
+      SatoVariant::kFull, dims_b, context_b->topic_dim(), *config_, &mrng);
 
   ModelRegistry registry;
-  registry.PublishBorrowed(model_a, context_, *scaler_, "ctx-a");
+  registry.Publish(model_a, context_, *scaler_, "ctx-a");
 
   PredictionServiceOptions options;
   options.num_threads = 2;
@@ -579,19 +570,19 @@ TEST_F(PredictionServiceTest, ContextSwapRebindsWorkerScratches) {
   }
 
   // Swap to context B: every worker must re-key its token dictionary.
-  registry.PublishBorrowed(model_b, &context_b, scaler_b, "ctx-b");
+  registry.Publish(model_b, context_b, scaler_b, "ctx-b");
   for (size_t i = 0; i < 6; ++i) {
     serve::PredictionResult r = roundtrip(i, 70 + i);
     EXPECT_EQ(r.status, RequestStatus::kOk);
     EXPECT_EQ(r.model_version, 2u);
     EXPECT_EQ(r.type_ids,
-              SequentialWith(model_b, &context_b, scaler_b, (*tables_)[i],
+              SequentialWith(model_b, context_b, scaler_b, (*tables_)[i],
                              70 + i));
   }
 
   // And back to context A (a fresh version): re-binding is symmetric, no
   // stale dictionary state survives the round trip.
-  registry.PublishBorrowed(model_a, context_, *scaler_, "ctx-a-again");
+  registry.Publish(model_a, context_, *scaler_, "ctx-a-again");
   for (size_t i = 0; i < 6; ++i) {
     serve::PredictionResult r = roundtrip(i, 80 + i);
     EXPECT_EQ(r.status, RequestStatus::kOk);
@@ -608,15 +599,15 @@ TEST_F(PredictionServiceTest, ContextSwapRebindsWorkerScratches) {
 // Submits gives each response its own version, and each response is
 // byte-identical to the sequential predictor on exactly that version.
 TEST_F(PredictionServiceTest, PublishBetweenSubmitsPinsEachRequestToItsVersion) {
-  const SatoModel model_a = MakeModel(61);
-  const SatoModel model_b = MakeModel(62);
+  const auto model_a = MakeModel(61);
+  const auto model_b = MakeModel(62);
   ModelRegistry registry;
-  registry.PublishBorrowed(model_a, context_, *scaler_, "A");
+  registry.Publish(model_a, context_, *scaler_, "A");
   FakeClock clock;
   PredictionService service(&registry, FakeClockOptions(&clock));
 
   const serve::PredictionResult first = service.Submit((*tables_)[2], 3).Get();
-  registry.PublishBorrowed(model_b, context_, *scaler_, "B");
+  registry.Publish(model_b, context_, *scaler_, "B");
   const serve::PredictionResult second =
       service.Submit((*tables_)[2], 3).Get();
 
@@ -634,13 +625,15 @@ TEST_F(PredictionServiceTest, PublishBetweenSubmitsPinsEachRequestToItsVersion) 
 // all of them at once: cache hits, misses, overflow behind a held worker,
 // and submissions after Shutdown.
 TEST_F(PredictionServiceTest, CountersAddUpAcrossEveryOutcome) {
-  const SatoModel model = MakeModel(67);
+  const auto model = MakeModel(67);
+  ModelRegistry registry;
+  registry.Publish(model, context_, *scaler_);
   serve::ResultCache cache;
   GateClock clock;
   PredictionServiceOptions options = FakeClockOptions(&clock);
   options.queue_capacity = 2;
   options.result_cache = &cache;
-  PredictionService service(model, context_, *scaler_, options);
+  PredictionService service(&registry, options);
 
   std::vector<PredictionHandle> handles;
   handles.push_back(service.Submit((*tables_)[0], 1));
@@ -683,10 +676,11 @@ TEST_F(PredictionServiceTest, CountersAddUpAcrossEveryOutcome) {
 // --------------------------------------------------------- small edges ----
 
 TEST_F(PredictionServiceTest, EmptyTableResolvesOkWithNoTypes) {
-  const SatoModel model = MakeModel(23);
+  const auto model = MakeModel(23);
+  ModelRegistry registry;
+  registry.Publish(model, context_, *scaler_);
   FakeClock clock;
-  PredictionService service(model, context_, *scaler_,
-                            FakeClockOptions(&clock));
+  PredictionService service(&registry, FakeClockOptions(&clock));
 
   PredictionHandle handle = service.Submit(Table(), 7);
   const serve::PredictionResult& result = handle.Get();
@@ -695,15 +689,17 @@ TEST_F(PredictionServiceTest, EmptyTableResolvesOkWithNoTypes) {
 }
 
 TEST_F(PredictionServiceTest, DestructorDrainsAdmittedRequests) {
-  const SatoModel model = MakeModel(23);
+  const auto model = MakeModel(23);
+  ModelRegistry registry;
+  registry.Publish(model, context_, *scaler_);
   std::vector<PredictionHandle> handles;
   {
     PredictionServiceOptions options;  // real SteadyClock
     options.num_threads = 2;
-    PredictionService service(model, context_, *scaler_, options);
+    PredictionService service(&registry, options);
     for (size_t i = 0; i < 6; ++i) {
       handles.push_back(service.Submit(
-          (*tables_)[i], serve::BatchPredictor::TableSeed(29, i)));
+          (*tables_)[i], util::TableSeed(29, i)));
     }
     // No Shutdown() call: the destructor must drain.
   }
@@ -712,14 +708,16 @@ TEST_F(PredictionServiceTest, DestructorDrainsAdmittedRequests) {
     EXPECT_EQ(handles[i].Get().status, RequestStatus::kOk);
     EXPECT_EQ(handles[i].Get().type_ids,
               Sequential(model, (*tables_)[i],
-                         serve::BatchPredictor::TableSeed(29, i)));
+                         util::TableSeed(29, i)));
   }
 }
 
 TEST_F(PredictionServiceTest, ShutdownIsIdempotent) {
-  const SatoModel model = MakeModel(23);
+  const auto model = MakeModel(23);
+  ModelRegistry registry;
+  registry.Publish(model, context_, *scaler_);
   PredictionServiceOptions options;
-  PredictionService service(model, context_, *scaler_, options);
+  PredictionService service(&registry, options);
   service.Shutdown();
   service.Shutdown();  // must not hang or crash
   SUCCEED();

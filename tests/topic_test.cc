@@ -2,6 +2,9 @@
 // topic recovery on separable corpora, fold-in inference, analysis helpers.
 
 #include <cmath>
+#include <cstddef>
+#include <cstring>
+#include <new>
 #include <set>
 #include <sstream>
 
@@ -119,6 +122,32 @@ TEST(LdaTest, SaveLoadRoundTrip) {
   util::Rng r1(9), r2(9);
   EXPECT_EQ(lda.InferTopics({"goal", "match"}, &r1),
             back.InferTopics({"goal", "match"}, &r2));
+}
+
+// Save writes LdaOptions in its in-memory layout; the 4 padding bytes
+// after num_topics must reach the stream as zeros, not as whatever memory
+// the options were built in, or two saves of the same model differ.
+TEST(LdaTest, SaveZeroesOptionsPadding) {
+  static_assert(offsetof(LdaOptions, alpha) == 8, "padding moved");
+  alignas(LdaOptions) unsigned char options_storage[sizeof(LdaOptions)];
+  std::memset(options_storage, 0xAB, sizeof(options_storage));
+  LdaOptions* options = new (options_storage) LdaOptions;
+  options->num_topics = 3;
+  options->min_count = 1;
+  alignas(LdaModel) unsigned char model_storage[sizeof(LdaModel)];
+  std::memset(model_storage, 0xAB, sizeof(model_storage));
+  util::Rng rng(7);
+  LdaModel* lda = new (model_storage)
+      LdaModel(LdaModel::Train(TwoThemeCorpus(5), *options, &rng));
+  std::stringstream ss;
+  lda->Save(&ss);
+  lda->~LdaModel();
+  const std::string bytes = ss.str();
+  // Two u64 headers (K, V), then the options: num_topics, then padding.
+  ASSERT_GE(bytes.size(), 16 + sizeof(LdaOptions));
+  for (size_t i = 16 + sizeof(int); i < 16 + 8; ++i) {
+    EXPECT_EQ(static_cast<unsigned char>(bytes[i]), 0u) << "byte " << i;
+  }
 }
 
 TEST(LdaTest, MaxDocTokensTruncates) {

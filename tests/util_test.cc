@@ -135,6 +135,23 @@ TEST(RngTest, IndexRejectsEmptyRange) {
   EXPECT_THROW(rng.Index(0), std::invalid_argument);
 }
 
+// ------------------------------------------------------------ splitmix64 ----
+
+TEST(TableSeedTest, TableSeedsAreDistinctAndStable) {
+  std::set<uint64_t> seeds;
+  for (uint64_t i = 0; i < 1000; ++i) seeds.insert(TableSeed(7, i));
+  EXPECT_EQ(seeds.size(), 1000u);
+  EXPECT_NE(TableSeed(7, 3), TableSeed(8, 3));
+  // Pinned values: every recorded prediction and fault schedule depends on
+  // them. TableSeed(1, i) is the standard splitmix64 stream for seed 1.
+  EXPECT_EQ(TableSeed(1, 0), 0x910a2dec89025cc1ull);
+  EXPECT_EQ(TableSeed(1, 1), 0xbeeb8da1658eec67ull);
+  EXPECT_EQ(TableSeed(1, 2), 0xf893a2eefb32555eull);
+  EXPECT_EQ(TableSeed(7, 3), 0x953aeb70673e29cbull);
+  EXPECT_EQ(TableSeed(0, 0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(TableSeed(0, 0), Mix64(kSplitMix64Gamma));
+}
+
 // ---------------------------------------------------------- math_util ----
 
 TEST(MathTest, LogSumExpMatchesDirectComputation) {
