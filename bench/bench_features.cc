@@ -6,8 +6,7 @@
 // Reports per-group extractor ns/column, LDA fold-in ns/table, and the
 // end-to-end featurization cost (four groups + topic vector) both ways,
 // then writes the whole table to BENCH_features.json (schema in
-// docs/BENCHMARKS.md) -- the featurization counterpart of BENCH_gemm.json
-// and BENCH_serve.json.
+// docs/BENCHMARKS.md) -- the featurization counterpart of BENCH_gemm.json.
 
 #include <algorithm>
 #include <cstdio>

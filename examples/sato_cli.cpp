@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -176,19 +177,23 @@ LoadedSato LoadBundleOrDie(const std::string& path) {
     std::fprintf(stderr, "cannot open bundle %s\n", path.c_str());
     std::exit(1);
   }
-  return LoadSatoBundle(&in);
+  try {
+    return LoadSatoBundle(&in);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad bundle %s: %s\n", path.c_str(), e.what());
+    std::exit(1);
+  }
 }
 
 // Serves every table of `tables` through one PredictionService with `jobs`
 // workers over a registry that owns the loaded bundle as version 1. Table i
 // decodes with the Rng stream util::TableSeed(seed, i), so the output is
 // identical for any --jobs value.
-std::vector<std::vector<TypeId>> PredictLoaded(LoadedSato* sato,
+std::vector<std::vector<TypeId>> PredictLoaded(const LoadedSato& sato,
                                                const std::vector<Table>& tables,
                                                int jobs, uint64_t seed) {
   serve::ModelRegistry registry;
-  registry.Publish(std::move(sato->model), std::move(sato->context),
-                   sato->scaler, sato->manifest.tag);
+  registry.Publish(sato.model, sato.context, sato.scaler, sato.manifest.tag);
   serve::PredictionServiceOptions options;
   options.num_threads = static_cast<size_t>(jobs);
   options.queue_capacity = tables.size();
@@ -223,7 +228,7 @@ int CmdPredict(const std::string& bundle_path,
 
   constexpr uint64_t kPredictSeed = 1;
   const std::vector<std::vector<TypeId>> predictions =
-      PredictLoaded(&sato, tables, flags.jobs, kPredictSeed);
+      PredictLoaded(sato, tables, flags.jobs, kPredictSeed);
 
   for (size_t i = 0; i < tables.size(); ++i) {
     const Table& table = tables[i];
@@ -249,7 +254,7 @@ int CmdEval(const std::string& bundle_path, const Flags& flags) {
 
   constexpr uint64_t kEvalSeed = 3;
   const std::vector<std::vector<TypeId>> predictions =
-      PredictLoaded(&sato, tables, flags.jobs, kEvalSeed);
+      PredictLoaded(sato, tables, flags.jobs, kEvalSeed);
   std::vector<int> gold, predicted;
   for (size_t i = 0; i < tables.size(); ++i) {
     auto truth = tables[i].TypeSequence();

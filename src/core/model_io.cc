@@ -15,10 +15,8 @@ namespace sato {
 
 namespace {
 
-// Legacy (pre-manifest) bundles start with this magic and go straight
-// into the payload; current bundles start with the v2 magic followed by
-// the manifest block. Both load.
-constexpr uint64_t kBundleMagic = 0x5341544f424e444cull;    // "SATOBNDL"
+// A bundle starts with this magic, then the manifest block, then the
+// payload.
 constexpr uint64_t kBundleMagicV2 = 0x5341544f424e4432ull;  // "SATOBND2"
 
 void WriteU64(std::ostream* out, uint64_t v) {
@@ -108,18 +106,19 @@ LoadedSato ReadPayload(std::istream* in) {
 
   LoadedSato loaded;
   loaded.context =
-      std::make_unique<FeatureContext>(FeatureContext::Load(in));
+      std::make_shared<const FeatureContext>(FeatureContext::Load(in));
   loaded.scaler = features::FeatureScaler::Load(in);
 
   // Build the architecture (weights are placeholder-initialised, then
   // overwritten by Load).
   util::Rng init_rng(config.seed);
-  loaded.model = std::make_unique<SatoModel>(
+  auto model = std::make_shared<SatoModel>(
       variant, dims, loaded.context->topic_dim(), config, &init_rng);
-  loaded.model->Load(in);
+  model->Load(in);
+  loaded.model = std::move(model);
 
   loaded.predictor = std::make_unique<SatoPredictor>(
-      loaded.model.get(), loaded.context.get(), loaded.scaler);
+      loaded.model, loaded.context, loaded.scaler);
   return loaded;
 }
 
@@ -143,18 +142,11 @@ void SaveSatoBundle(const SatoModel& model, const FeatureContext& context,
 }
 
 LoadedSato LoadSatoBundle(std::istream* in) {
-  const uint64_t magic = ReadU64(in);
-  if (magic == kBundleMagic) {
-    // Legacy pre-manifest bundle: the payload follows the magic directly,
-    // with no tag and nothing to verify against.
-    return ReadPayload(in);
-  }
-  if (magic != kBundleMagicV2) {
+  if (ReadU64(in) != kBundleMagicV2) {
     throw std::runtime_error("LoadSatoBundle: bad magic");
   }
 
   BundleManifest manifest;
-  manifest.has_manifest = true;
   manifest.tag = ReadString(in);
   manifest.content_hash = ReadU64(in);
 

@@ -13,24 +13,24 @@
 
 namespace sato {
 
-/// Metadata written ahead of the bundle payload since format v2: a
-/// human-readable version tag (what ModelRegistry publishes under) and an
-/// FNV-1a hash of the serialized payload, verified on load so a truncated
-/// or bit-flipped bundle fails loudly instead of decoding into garbage
-/// weights. Pre-manifest bundles still load (has_manifest == false).
+/// Metadata written ahead of the bundle payload: a human-readable version
+/// tag (what ModelRegistry publishes under) and an FNV-1a hash of the
+/// serialized payload, verified on load so a truncated or bit-flipped
+/// bundle fails loudly instead of decoding into garbage weights.
 struct BundleManifest {
-  std::string tag;            ///< empty for legacy bundles
-  uint64_t content_hash = 0;  ///< FNV-1a over the payload bytes; 0 legacy
-  bool has_manifest = false;  ///< false when a legacy bundle was loaded
+  std::string tag;
+  uint64_t content_hash = 0;  ///< FNV-1a over the payload bytes
 };
 
 /// A fully-deployable Sato restored from disk: the pre-trained feature
 /// context, the model, the training-split scaler, and a predictor wired to
 /// all three. (The paper publicly releases its trained model, §8 -- this
-/// is the equivalent mechanism here.)
+/// is the equivalent mechanism here.) The predictor pins the model and the
+/// context, so it stays valid after `model` and `context` are handed on
+/// (say, published into a ModelRegistry) or reset.
 struct LoadedSato {
-  std::unique_ptr<FeatureContext> context;
-  std::unique_ptr<SatoModel> model;
+  std::shared_ptr<const FeatureContext> context;
+  std::shared_ptr<const SatoModel> model;
   features::FeatureScaler scaler;
   std::unique_ptr<SatoPredictor> predictor;
   BundleManifest manifest;
@@ -45,9 +45,8 @@ void SaveSatoBundle(const SatoModel& model, const FeatureContext& context,
                     const features::FeatureScaler& scaler, std::ostream* out,
                     const std::string& tag = std::string());
 
-/// Restores a bundle saved with SaveSatoBundle -- either the current
-/// manifested format (content hash verified) or the legacy pre-manifest
-/// format. Throws std::runtime_error on malformed or corrupted input.
+/// Restores a bundle saved with SaveSatoBundle, verifying its content
+/// hash. Throws std::runtime_error on malformed or corrupted input.
 LoadedSato LoadSatoBundle(std::istream* in);
 
 }  // namespace sato

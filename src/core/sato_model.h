@@ -74,10 +74,6 @@ class SatoModel {
                               nn::Workspace* ws) const;
   nn::Matrix ColumnEmbeddings(const TableExample& table) const;
 
-  /// Bytes of model state a per-worker replica would have to duplicate
-  /// (columnwise parameters + CRF potentials).
-  size_t ParameterBytes() const;
-
   void Save(std::ostream* out) const;
   void Load(std::istream* in);
 

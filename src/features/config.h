@@ -42,8 +42,7 @@ bool SimdEnabled();
 
 /// Human-readable name of the featurization kernel `config` selects on
 /// this host: "avx2" or "scalar". Surfaced as `featurize_kernel` in
-/// BENCH_features.json / BENCH_serve.json so perf datapoints are
-/// self-describing.
+/// BENCH_features.json so perf datapoints are self-describing.
 std::string KernelName(const Config& config);
 std::string KernelName();
 

@@ -72,8 +72,7 @@ const Config& DefaultConfig();
 
 /// Human-readable name of the micro-kernel `config` would run with on this
 /// host: "reference", "blocked-generic" or "blocked-avx2fma". Surfaced in
-/// BENCH_gemm.json / BENCH_serve.json so perf datapoints are
-/// self-describing.
+/// BENCH_gemm.json so perf datapoints are self-describing.
 std::string KernelName(const Config& config = DefaultConfig());
 
 // -- blocked entry points ---------------------------------------------------

@@ -402,7 +402,6 @@ ServiceStats PredictionService::Stats() const {
   }
   std::sort(latencies.begin(), latencies.end());
   stats.latency_p50_nanos = Percentile(latencies, 50);
-  stats.latency_p95_nanos = Percentile(latencies, 95);
   stats.latency_p99_nanos = Percentile(latencies, 99);
   return stats;
 }
@@ -438,20 +437,6 @@ std::vector<std::vector<TypeId>> PredictAll(PredictionService* service,
     predictions[i] = result.type_ids;
   }
   return predictions;
-}
-
-void PredictionService::ResetStats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  submitted_ = outstanding_;  // still-live admissions (includes pending)
-  completed_ = 0;
-  rejected_ = 0;
-  rejected_shutdown_ = 0;
-  deadline_exceeded_ = 0;
-  model_swaps_ = 0;
-  cache_hits_ = 0;
-  cache_misses_ = 0;
-  latencies_.clear();
-  latency_next_ = 0;
 }
 
 }  // namespace sato::serve

@@ -138,7 +138,6 @@ struct ServiceStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t latency_p50_nanos = 0;
-  uint64_t latency_p95_nanos = 0;
   uint64_t latency_p99_nanos = 0;
 };
 
@@ -234,10 +233,6 @@ class PredictionService {
 
   /// Consistent snapshot of the counters and latency percentiles.
   ServiceStats Stats() const;
-
-  /// Zeroes the cumulative counters and latency samples (not the
-  /// admission state). Benchmarks call this after warm-up.
-  void ResetStats();
 
   size_t num_threads() const { return pool_.num_threads(); }
   const PredictionServiceOptions& options() const { return options_; }

@@ -361,7 +361,6 @@ void Server::FailConnection(int fd, uint64_t request_id,
 
 void Server::HandleFrame(int fd, const wire::FrameHeader& header,
                          std::string_view payload) {
-  const uint64_t start_nanos = clock_->NowNanos();
   wire::ResponseBody body;
   switch (static_cast<wire::Opcode>(header.opcode)) {
     case wire::Opcode::kPing: {
@@ -499,10 +498,6 @@ void Server::HandleFrame(int fd, const wire::FrameHeader& header,
     }
   }
   SendResponse(fd, header.opcode, header.request_id, body);
-  const uint64_t elapsed = clock_->NowNanos() - start_nanos;
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.request_nanos_total += elapsed;
-  ++stats_.requests_measured;
 }
 
 void Server::SendResponse(int fd, uint16_t opcode, uint64_t request_id,

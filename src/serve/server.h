@@ -78,10 +78,6 @@ struct ServerStats {
   uint64_t cache_hits = 0;           ///< predict responses served from cache
   uint64_t corrections = 0;
   uint64_t pings = 0;
-  /// Sum / count of request wall time (first header byte parsed ->
-  /// response written), for a mean wire latency without a sample ring.
-  uint64_t request_nanos_total = 0;
-  uint64_t requests_measured = 0;
   /// Exceptions caught by the connection barrier: a request handler that
   /// throws fails its connection (typed kFailed frame, then close), never
   /// the process.

@@ -544,7 +544,6 @@ TEST_F(CoreIntegrationTest, BundleRoundTripPreservesPredictions) {
   EXPECT_EQ(loaded.model->variant(), SatoVariant::kFull);
 
   // The manifest rode along: version tag and a non-trivial content hash.
-  EXPECT_TRUE(loaded.manifest.has_manifest);
   EXPECT_EQ(loaded.manifest.tag, "release-7");
   EXPECT_NE(loaded.manifest.content_hash, 0u);
 
@@ -553,7 +552,21 @@ TEST_F(CoreIntegrationTest, BundleRoundTripPreservesPredictions) {
   copts.num_tables = 12;
   copts.seed = 123;
   corpus::CorpusGenerator gen(copts);
-  for (const Table& t : gen.Generate()) {
+  const std::vector<Table> tables = gen.Generate();
+  for (const Table& t : tables) {
+    util::Rng ra(3), rb(3);
+    EXPECT_EQ(original.PredictTable(t, &ra),
+              loaded.predictor->PredictTable(t, &rb))
+        << t.id();
+  }
+
+  // The loaded predictor pins the model and the context, so it keeps
+  // working after the bundle's own pointers are handed on or reset.
+  std::weak_ptr<const SatoModel> weak_model = loaded.model;
+  loaded.model.reset();
+  loaded.context.reset();
+  EXPECT_FALSE(weak_model.expired());
+  for (const Table& t : tables) {
     util::Rng ra(3), rb(3);
     EXPECT_EQ(original.PredictTable(t, &ra),
               loaded.predictor->PredictTable(t, &rb))
@@ -589,63 +602,9 @@ TEST_F(CoreIntegrationTest, BundleBytesDoNotDependOnStructPadding) {
       << "bundles differ at byte " << (diff.first - zeroed.begin());
 }
 
-// Pre-manifest bundles (legacy magic, payload follows directly) must keep
-// loading. The legacy writer is gone, so the test reconstructs a legacy
-// stream from a current one: strip the manifest block and swap the magic.
-TEST_F(CoreIntegrationTest, LegacyPreManifestBundleStillLoads) {
-  util::Rng rng(52);
-  SatoConfig quick = *config_;
-  quick.epochs = 2;
-  SatoModel model(SatoVariant::kNoStruct, Dims(), context_->topic_dim(),
-                  quick, &rng);
-  Trainer trainer(quick);
-  trainer.Train(&model, *train_, &rng);
-  Dataset train_copy = *train_;
-  auto scaler = StandardizeSplits(&train_copy, nullptr);
-
-  std::stringstream current;
-  SaveSatoBundle(model, *context_, scaler, &current, "tagged");
-  const std::string bytes = current.str();
-
-  // v2 layout: magic(8) | tag_len(8) | tag | hash(8) | payload_size(8) |
-  // payload. The legacy layout was legacy_magic(8) | payload.
-  auto read_u64 = [&](size_t offset) {
-    uint64_t v = 0;
-    std::memcpy(&v, bytes.data() + offset, sizeof(v));
-    return v;
-  };
-  const size_t tag_len = static_cast<size_t>(read_u64(8));
-  const size_t payload_offset = 8 + 8 + tag_len + 8 + 8;
-  ASSERT_LT(payload_offset, bytes.size());
-
-  constexpr uint64_t kLegacyMagic = 0x5341544f424e444cull;  // "SATOBNDL"
-  std::string legacy(reinterpret_cast<const char*>(&kLegacyMagic),
-                     sizeof(kLegacyMagic));
-  legacy.append(bytes, payload_offset, std::string::npos);
-
-  std::stringstream legacy_stream(legacy);
-  LoadedSato loaded = LoadSatoBundle(&legacy_stream);
-  ASSERT_NE(loaded.predictor, nullptr);
-  EXPECT_FALSE(loaded.manifest.has_manifest);
-  EXPECT_TRUE(loaded.manifest.tag.empty());
-  EXPECT_EQ(loaded.manifest.content_hash, 0u);
-
-  // Same weights either way.
-  SatoPredictor original(&model, context_, scaler);
-  corpus::CorpusOptions copts;
-  copts.num_tables = 6;
-  copts.seed = 321;
-  corpus::CorpusGenerator gen(copts);
-  for (const Table& t : gen.Generate()) {
-    util::Rng ra(5), rb(5);
-    EXPECT_EQ(original.PredictTable(t, &ra),
-              loaded.predictor->PredictTable(t, &rb))
-        << t.id();
-  }
-}
-
 // A flipped payload byte must fail the manifest's content hash loudly
-// instead of decoding into silently-wrong weights.
+// instead of decoding into silently-wrong weights. So must a well-formed
+// payload behind the pre-manifest magic, a format nothing writes any more.
 TEST_F(CoreIntegrationTest, CorruptedBundleFailsTheContentHash) {
   util::Rng rng(53);
   SatoConfig quick = *config_;
@@ -658,6 +617,18 @@ TEST_F(CoreIntegrationTest, CorruptedBundleFailsTheContentHash) {
   std::stringstream ss;
   SaveSatoBundle(model, *context_, scaler, &ss);
   std::string bytes = ss.str();
+
+  // Layout: magic(8) | tag_len(8) | tag | hash(8) | payload_size(8) |
+  // payload. The pre-manifest layout was legacy_magic(8) | payload.
+  uint64_t tag_len = 0;
+  std::memcpy(&tag_len, bytes.data() + 8, sizeof(tag_len));
+  constexpr uint64_t kLegacyMagic = 0x5341544f424e444cull;  // "SATOBNDL"
+  std::string legacy(reinterpret_cast<const char*>(&kLegacyMagic),
+                     sizeof(kLegacyMagic));
+  legacy.append(bytes, 8 + 8 + tag_len + 8 + 8, std::string::npos);
+  std::stringstream legacy_stream(legacy);
+  EXPECT_THROW(LoadSatoBundle(&legacy_stream), std::runtime_error);
+
   bytes[bytes.size() - 64] ^= 0x40;  // deep inside the payload
 
   std::stringstream corrupted(bytes);
