@@ -56,7 +56,7 @@ void WriteJson(const char* path, const BenchEnv& env, size_t num_tables,
   // Which featurization kernel the runtime dispatch selected on this host
   // ("avx2" or "scalar") -- the fast-path numbers below depend on it.
   std::fprintf(f, "  \"featurize_kernel\": \"%s\",\n",
-               features::KernelName().c_str());
+               features::KernelName(features::DefaultConfig()).c_str());
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const StageResult& r = results[i];
@@ -102,7 +102,7 @@ int Run() {
   std::printf("bench_features: %zu tables (%zu columns), dim=%zu, "
               "topics=%zu, %d trials, kernel=%s\n",
               tables.size(), num_columns, emb.dim(), env.context.topic_dim(),
-              trials, features::KernelName().c_str());
+              trials, features::KernelName(features::DefaultConfig()).c_str());
 
   // Prebuilt caches, one per table, so per-group kernels can be timed
   // without re-tokenising (cache construction is its own row below).

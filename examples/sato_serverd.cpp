@@ -215,11 +215,21 @@ void OnHupSignal(int) {
     }                                                                    \
   } while (0)
 
+// kOk answers, read from the service that owns request outcomes.
+uint64_t PredictionsOk(const serve::ServiceStats& stats) {
+  return stats.completed - stats.failed - stats.deadline_exceeded;
+}
+
 // Loopback end-to-end battery: framed requests against the live daemon,
 // including one malformed frame, then a graceful drain. This is the CI
 // smoke path ("start daemon -> 3 framed requests incl. one malformed ->
 // assert responses + clean shutdown") in-process so it needs no harness.
-int RunSelfTest(serve::Server* server, const std::vector<Table>& tables) {
+// Each count is read from the layer that owns it: frames from the server,
+// outcomes from the service, hits from the cache (null when disabled).
+int RunSelfTest(serve::Server* server,
+                const serve::PredictionService* service,
+                const serve::ResultCache* cache,
+                const std::vector<Table>& tables) {
   const Table* table = nullptr;
   for (const Table& t : tables) {
     if (t.num_columns() >= 2) {
@@ -289,19 +299,21 @@ int RunSelfTest(serve::Server* server, const std::vector<Table>& tables) {
   SELFTEST_CHECK(!after.transport_ok);
 
   serve::ServerStats stats = server->Stats();
+  const uint64_t predictions_ok = PredictionsOk(service->Stats());
+  const uint64_t cache_hits = cache != nullptr ? cache->Stats().hits : 0;
   SELFTEST_CHECK(stats.pings == 1);
-  SELFTEST_CHECK(stats.predict_ok == 3);
-  SELFTEST_CHECK(stats.cache_hits == 1);
+  SELFTEST_CHECK(predictions_ok == 3);
+  SELFTEST_CHECK(cache_hits == 1);
   SELFTEST_CHECK(stats.corrections == 1);
   SELFTEST_CHECK(stats.malformed_frames == 1);
-  SELFTEST_CHECK(stats.draining);
+  SELFTEST_CHECK(server->draining());
 
   std::printf("self-test passed: %llu frames, %llu responses, "
               "%llu predictions (%llu cached), %llu malformed rejected\n",
               static_cast<unsigned long long>(stats.frames_received),
               static_cast<unsigned long long>(stats.responses_sent),
-              static_cast<unsigned long long>(stats.predict_ok),
-              static_cast<unsigned long long>(stats.cache_hits),
+              static_cast<unsigned long long>(predictions_ok),
+              static_cast<unsigned long long>(cache_hits),
               static_cast<unsigned long long>(stats.malformed_frames));
   return 0;
 }
@@ -376,7 +388,7 @@ int Main(int argc, char** argv) {
   }
 
   if (flags.self_test) {
-    int rc = RunSelfTest(server.get(), demo_tables);
+    int rc = RunSelfTest(server.get(), &service, cache.get(), demo_tables);
     server->Shutdown();
     service.Shutdown();
     return rc;
@@ -433,16 +445,17 @@ int Main(int argc, char** argv) {
   service.Shutdown();
 
   serve::ServerStats stats = server->Stats();
-  serve::ServiceStats sstats = service.Stats();
+  serve::ResultCacheStats cstats;  // all zero when the cache is disabled
+  if (cache != nullptr) cstats = cache->Stats();
   std::fprintf(
       stderr,
       "sato_serverd: served %llu frames, %llu predictions ok "
       "(%llu cache hits / %llu misses), %llu malformed rejected, "
       "%llu connections\n",
       static_cast<unsigned long long>(stats.frames_received),
-      static_cast<unsigned long long>(stats.predict_ok),
-      static_cast<unsigned long long>(sstats.cache_hits),
-      static_cast<unsigned long long>(sstats.cache_misses),
+      static_cast<unsigned long long>(PredictionsOk(service.Stats())),
+      static_cast<unsigned long long>(cstats.hits),
+      static_cast<unsigned long long>(cstats.misses),
       static_cast<unsigned long long>(stats.malformed_frames +
                                       stats.malformed_payloads),
       static_cast<unsigned long long>(stats.connections_accepted));

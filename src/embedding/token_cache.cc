@@ -152,7 +152,8 @@ void TokenCache::SetContext(const WordEmbeddings* embeddings,
   context_fingerprint_ = fingerprint;
 }
 
-void TokenCache::Reset(size_t value_bytes, size_t cell_count) {
+void TokenCache::Reset(size_t value_bytes, size_t cell_count,
+                       const features::Config& config) {
   arena_.clear();
   if (value_bytes > arena_.capacity()) arena_.reserve(value_bytes);
   occurrences_.clear();
@@ -163,7 +164,7 @@ void TokenCache::Reset(size_t value_bytes, size_t cell_count) {
   value_counts_.clear();
   value_first_cell_.clear();
   if (token_slots_.empty()) token_slots_.assign(1024, 0);
-  use_simd_ = features::SimdEnabled();
+  use_simd_ = features::SimdEnabled(config);
 }
 
 void TokenCache::FinishBuild(size_t capacity_before) {
@@ -171,7 +172,8 @@ void TokenCache::FinishBuild(size_t capacity_before) {
 }
 
 void TokenCache::Build(const Table& table, const WordEmbeddings* embeddings,
-                       const TfIdf* tfidf, const Vocabulary* lda_vocab) {
+                       const TfIdf* tfidf, const Vocabulary* lda_vocab,
+                       const features::Config& config) {
   size_t capacity_before = CapacityBytes();
   SetContext(embeddings, tfidf, lda_vocab);
 
@@ -180,7 +182,7 @@ void TokenCache::Build(const Table& table, const WordEmbeddings* embeddings,
     cell_count += column.values.size();
     for (const std::string& value : column.values) value_bytes += value.size();
   }
-  Reset(value_bytes, cell_count);
+  Reset(value_bytes, cell_count, config);
   columns_.reserve(table.num_columns());
   for (const Column& column : table.columns()) AddColumn(column);
   FinishBuild(capacity_before);
@@ -194,7 +196,7 @@ void TokenCache::BuildColumn(const Column& column,
 
   size_t value_bytes = 0;
   for (const std::string& value : column.values) value_bytes += value.size();
-  Reset(value_bytes, column.values.size());
+  Reset(value_bytes, column.values.size(), features::DefaultConfig());
   AddColumn(column);
   FinishBuild(capacity_before);
 }

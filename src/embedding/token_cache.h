@@ -9,6 +9,7 @@
 #include "embedding/tfidf.h"
 #include "embedding/vocabulary.h"
 #include "embedding/word_embeddings.h"
+#include "features/config.h"
 #include "table/table.h"
 
 namespace sato::embedding {
@@ -81,8 +82,10 @@ class TokenCache {
   /// null; `embeddings` may be null only if no word/para extraction will
   /// consume the cache. Changing any of the three pointers (or the
   /// embedding dimensionality) resets the persistent dictionary.
+  /// `config` selects the tokenizer's byte-classification kernel.
   void Build(const Table& table, const WordEmbeddings* embeddings,
-             const TfIdf* tfidf, const Vocabulary* lda_vocab);
+             const TfIdf* tfidf, const Vocabulary* lda_vocab,
+             const features::Config& config = features::DefaultConfig());
 
   /// Single-column convenience used by the per-column compatibility API.
   void BuildColumn(const Column& column, const WordEmbeddings* embeddings,
@@ -163,7 +166,8 @@ class TokenCache {
  private:
   void SetContext(const WordEmbeddings* embeddings, const TfIdf* tfidf,
                   const Vocabulary* lda_vocab);
-  void Reset(size_t value_bytes, size_t cell_count);
+  void Reset(size_t value_bytes, size_t cell_count,
+             const features::Config& config);
   void AddColumn(const Column& column);
   void TokenizeInto(std::string_view value, uint32_t* occ_begin,
                     uint32_t* occ_end);
@@ -202,7 +206,7 @@ class TokenCache {
   // longest value seen (in 64-bit words).
   std::vector<uint64_t> mask_alnum_;
   std::vector<uint64_t> mask_digit_;
-  bool use_simd_ = false;  ///< latched from features::DefaultConfig() at Build
+  bool use_simd_ = false;  ///< latched from the Build config
 
   // -- persistent state, keyed by token text --
   std::vector<Token> dictionary_;

@@ -160,7 +160,8 @@ size_t CharFeatureExtractor::dim() const {
 
 void CharFeatureExtractor::ExtractInto(const embedding::TokenCache& cache,
                                        size_t column, FeatureScratch* scratch,
-                                       std::vector<double>* out) const {
+                                       std::vector<double>* out,
+                                       const Config& config) const {
   const size_t a = kAlphabet.size();
   scratch->char_sum.assign(a, 0.0);
   scratch->char_sum_sq.assign(a, 0.0);
@@ -173,7 +174,7 @@ void CharFeatureExtractor::ExtractInto(const embedding::TokenCache& cache,
   double* present = scratch->char_present.data();
   double* counts = scratch->char_counts.data();
 
-  const bool use_simd = SimdEnabled();
+  const bool use_simd = SimdEnabled(config);
   const auto& span = cache.column_span(column);
   const std::vector<double>& multiplicity = cache.value_counts();
   std::vector<uint32_t>& touched = scratch->touched;

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "features/config.h"
 #include "table/table.h"
 
 namespace sato::embedding {
@@ -52,9 +53,11 @@ class CharFeatureExtractor {
   size_t dim() const;
 
   /// Fast path: features of cache column `column` written into `*out`
-  /// (resized to dim()); allocation-free once `scratch` is warm.
+  /// (resized to dim()); allocation-free once `scratch` is warm. `config`
+  /// selects the scalar or AVX2 kernel.
   void ExtractInto(const embedding::TokenCache& cache, size_t column,
-                   FeatureScratch* scratch, std::vector<double>* out) const;
+                   FeatureScratch* scratch, std::vector<double>* out,
+                   const Config& config = DefaultConfig()) const;
 
   /// Reference implementation (parity baseline).
   std::vector<double> ReferenceExtract(const Column& column) const;

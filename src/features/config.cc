@@ -4,33 +4,21 @@
 
 namespace sato::features {
 
-namespace {
-Config& MutableDefaultConfig() {
-  static Config* config = [] {
-    Config* c = new Config();  // leaked: outlives static dtors
-    c->enable_cpu_dispatch = !util::CpuDispatchDisabledByEnv();
+const Config& DefaultConfig() {
+  static const Config config = [] {
+    Config c;
+    c.enable_cpu_dispatch = !util::CpuDispatchDisabledByEnv();
     return c;
   }();
-  return *config;
-}
-}  // namespace
-
-const Config& DefaultConfig() { return MutableDefaultConfig(); }
-
-void SetDefaultConfig(const Config& config) {
-  MutableDefaultConfig() = config;
+  return config;
 }
 
 bool SimdEnabled(const Config& config) {
   return config.enable_cpu_dispatch && util::CpuHasAvx2();
 }
 
-bool SimdEnabled() { return SimdEnabled(DefaultConfig()); }
-
 std::string KernelName(const Config& config) {
   return SimdEnabled(config) ? "avx2" : "scalar";
 }
-
-std::string KernelName() { return KernelName(DefaultConfig()); }
 
 }  // namespace sato::features

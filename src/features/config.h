@@ -5,7 +5,7 @@
 
 namespace sato::features {
 
-/// Process-wide configuration for the featurization kernels, mirroring
+/// Configuration for the featurization kernels, mirroring
 /// nn::gemm::Config's dispatch contract: the scalar kernels are the
 /// portable baseline every SIMD kernel is parity-tested against, and the
 /// escape hatch below pins them at runtime when bitwise cross-machine
@@ -15,36 +15,32 @@ namespace sato::features {
 /// baselines (they classify bytes and accumulate integers -- there is no
 /// floating-point regrouping), so flipping dispatch never changes a
 /// feature vector; the hatch exists for debugging and for CI's
-/// scalar-coverage pass, not for determinism.
+/// scalar-coverage pass, not for determinism. A caller that wants other
+/// kernels (the parity tests) passes its own Config explicitly; the
+/// process-wide DefaultConfig() never changes.
 struct Config {
   /// Allow the AVX2 featurization kernels (char-slot classification, the
   /// stat value scan, the tokenizer's byte classification) when the host
   /// CPU supports them. When false -- or on hosts without AVX2 -- the
-  /// scalar kernels run. Also forced off process-wide by setting
-  /// SATO_DISABLE_CPU_DISPATCH=1 in the environment before first use
-  /// (the same hook gemm::DefaultConfig() honours).
+  /// scalar kernels run. DefaultConfig() has it off when
+  /// SATO_DISABLE_CPU_DISPATCH=1 is set in the environment before first
+  /// use (the same hook gemm::DefaultConfig() honours).
   bool enable_cpu_dispatch = true;
 };
 
-/// Process-wide configuration used by TokenCache::Build and every
-/// extractor ExtractInto kernel. Constructed honouring
+/// Immutable process-wide configuration, the default of TokenCache::Build
+/// and the char/stat ExtractInto kernels. Constructed once, honouring
 /// SATO_DISABLE_CPU_DISPATCH.
 const Config& DefaultConfig();
-
-/// Replaces the process-wide default. Not synchronised: call during
-/// startup, before concurrent featurization begins.
-void SetDefaultConfig(const Config& config);
 
 /// True when the AVX2 featurization kernels will actually run under
 /// `config` on this host.
 bool SimdEnabled(const Config& config);
-bool SimdEnabled();
 
 /// Human-readable name of the featurization kernel `config` selects on
 /// this host: "avx2" or "scalar". Surfaced as `featurize_kernel` in
 /// BENCH_features.json so perf datapoints are self-describing.
 std::string KernelName(const Config& config);
-std::string KernelName();
 
 }  // namespace sato::features
 

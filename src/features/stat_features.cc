@@ -321,7 +321,8 @@ StatFeatureExtractor::ScanResult StatFeatureExtractor::ScanValueKernel(
 
 void StatFeatureExtractor::ExtractInto(const embedding::TokenCache& cache,
                                        size_t column, FeatureScratch* scratch,
-                                       std::vector<double>* out) const {
+                                       std::vector<double>* out,
+                                       const Config& config) const {
   out->assign(kDim, 0.0);
   double* o = out->data();
   const auto& span = cache.column_span(column);
@@ -329,7 +330,7 @@ void StatFeatureExtractor::ExtractInto(const embedding::TokenCache& cache,
   o[0] = std::log1p(static_cast<double>(total));
   if (total == 0) return;
 
-  const bool use_simd = SimdEnabled();
+  const bool use_simd = SimdEnabled(config);
   size_t num_unique = span.value_end - span.value_begin;
 
   // Phase 1 -- per DISTINCT value: the byte scan, the word count, the

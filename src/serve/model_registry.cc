@@ -69,10 +69,6 @@ std::shared_ptr<const ModelBundle> ModelRegistry::PinVersion(
 RegistryStats ModelRegistry::Stats() const {
   RegistryStats stats;
   std::lock_guard<std::mutex> lock(mutex_);
-  // current_ is stored under mutex_ in Publish, so loading it inside the
-  // critical section yields a snapshot consistent with published/versions.
-  auto current = Current();
-  stats.current_version = current != nullptr ? current->version() : 0;
   stats.published = next_version_ - 1;
   stats.versions.reserve(history_.size());
   for (const VersionRecord& record : history_) {

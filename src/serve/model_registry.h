@@ -115,8 +115,10 @@ struct VersionInfo {
 };
 
 struct RegistryStats {
-  uint64_t published = 0;        ///< total Publish calls
-  uint64_t current_version = 0;  ///< 0 when nothing is published yet
+  /// Total Publish calls. Publish assigns and installs versions 1..n in
+  /// order, so after every Publish that returns this is also
+  /// current_version() (0 before the first).
+  uint64_t published = 0;
   std::vector<VersionInfo> versions;  ///< ascending by version
   uint64_t corrections_submitted = 0;
   uint64_t corrections_dropped = 0;  ///< evicted from the bounded log

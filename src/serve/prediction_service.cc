@@ -19,7 +19,6 @@ namespace internal {
 struct RequestState {
   Table table;
   uint64_t seed = 0;
-  uint64_t submit_nanos = 0;
   /// Absolute caller deadline on the service clock (0 = none): past this
   /// instant the worker sheds the request instead of serving it.
   uint64_t client_deadline_nanos = 0;
@@ -48,14 +47,6 @@ void Resolve(const std::shared_ptr<internal::RequestState>& state,
     state->done = true;
   }
   state->cv.notify_all();
-}
-
-/// Nearest-rank percentile over an ascending-sorted sample vector.
-uint64_t Percentile(const std::vector<uint64_t>& sorted, uint64_t q) {
-  if (sorted.empty()) return 0;
-  size_t rank = (q * sorted.size() + 99) / 100;  // ceil(q/100 * n)
-  if (rank == 0) rank = 1;
-  return sorted[std::min(rank, sorted.size()) - 1];
 }
 
 PredictionServiceOptions Sanitize(PredictionServiceOptions options) {
@@ -119,12 +110,7 @@ PredictionService::PredictionService(ModelRegistry* registry,
       scratches_(options_.num_threads),
       worker_context_(options_.num_threads),
       last_pinned_version_(registry->current_version()),
-      pool_(options_.num_threads) {
-  // Reserved up front so recording a latency sample never allocates --
-  // the completion path must not be able to throw between a prediction
-  // and resolving its handle.
-  latencies_.reserve(kLatencyWindow);
-}
+      pool_(options_.num_threads) {}
 
 PredictionService::~PredictionService() { Shutdown(); }
 
@@ -140,14 +126,12 @@ PredictionHandle PredictionService::Submit(Table table, uint64_t seed,
   state->cache_eligible =
       options_.result_cache != nullptr && table.num_columns() > 0;
   if (state->cache_eligible) {
-    const uint64_t lookup_start = clock_->NowNanos();
     state->cache_key_version = registry_->current_version();
     state->cache_key = ComputeCacheKey(table, seed, state->cache_key_version);
     std::vector<TypeId> cached;
     if (options_.result_cache->Lookup(state->cache_key, &cached)) {
       PredictionResult result;
       result.status = RequestStatus::kShutdown;
-      const uint64_t latency = clock_->NowNanos() - lookup_start;
       {
         std::lock_guard<std::mutex> lock(mutex_);
         ++submitted_;
@@ -156,16 +140,13 @@ PredictionHandle PredictionService::Submit(Table table, uint64_t seed,
           ++rejected_shutdown_;
         } else {
           result.status = RequestStatus::kOk;
-          ++cache_hits_;
           ++completed_;
-          RecordLatencyLocked(latency);
         }
       }
       if (result.status == RequestStatus::kOk) {
         result.type_ids = std::move(cached);
         result.model_version = state->cache_key_version;
         result.cache_hit = true;
-        result.latency_nanos = latency;
       }
       Resolve(state, std::move(result));
       return PredictionHandle(std::move(state));
@@ -176,12 +157,12 @@ PredictionHandle PredictionService::Submit(Table table, uint64_t seed,
   // so a failure here (a throwing clock, bad_alloc) leaves no slot
   // reserved and no count taken; a failed dispatch gives both back.
   state->seed = seed;
-  state->submit_nanos = clock_->NowNanos();
   // The wire carries a RELATIVE budget (client and service clocks share no
-  // epoch); it becomes absolute exactly here, on the service clock.
-  state->client_deadline_nanos =
-      deadline_budget_nanos == 0 ? 0
-                                 : state->submit_nanos + deadline_budget_nanos;
+  // epoch); it becomes absolute exactly here, on the service clock. A
+  // request without a budget reads no clock at all.
+  if (deadline_budget_nanos != 0) {
+    state->client_deadline_nanos = clock_->NowNanos() + deadline_budget_nanos;
+  }
   state->table = std::move(table);
   std::function<void(size_t)> task = [this, state](size_t worker) {
     ExecuteRequest(state, worker);
@@ -208,7 +189,6 @@ PredictionHandle PredictionService::Submit(Table table, uint64_t seed,
       ++outstanding_;
     }
     ++submitted_;
-    if (state->cache_eligible) ++cache_misses_;
   }
   if (admission != RequestStatus::kOk) {
     PredictionResult result;
@@ -222,13 +202,12 @@ PredictionHandle PredictionService::Submit(Table table, uint64_t seed,
     pool_.Submit(std::move(task));
   } catch (...) {
     // The pool could not take the task (bad_alloc): this request never
-    // happened, so give the slot and the counts back before the caller
+    // happened, so give the slot and the count back before the caller
     // sees the error.
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --outstanding_;
       --submitted_;
-      if (state->cache_eligible) --cache_misses_;
       NotifyIfDrainedLocked();
     }
     throw;
@@ -241,9 +220,8 @@ void PredictionService::ExecuteRequest(
   // Pickup-time shed: the pool queue is the only place a request waits,
   // so this is the one point where its deadline can have expired. Shed
   // requests release their admission slot and count as completed
-  // (deadline_exceeded in Stats), but take no latency sample: they measure
-  // the caller's impatience, not ours. Past this check the request runs
-  // to completion.
+  // (deadline_exceeded in Stats). Past this check the request runs to
+  // completion.
   if (state->client_deadline_nanos != 0) {
     bool expired = false;
     try {
@@ -329,37 +307,17 @@ void PredictionService::ExecuteRequest(
     result.error = std::current_exception();
     result.type_ids.clear();
   }
-  try {
-    result.latency_nanos = clock_->NowNanos() - state->submit_nanos;
-  } catch (...) {
-    // An injected clock threw: the sample is lost, the request is not --
-    // nothing below this line may prevent Resolve from running (an escape
-    // here would strand Get() callers forever and detonate the pool's
-    // Wait() rethrow inside our destructor).
-    result.latency_nanos = 0;
-  }
   {
     // Completion frees an admission slot *before* the handle resolves, so
     // a caller woken by Get() observes the slot available.
     std::lock_guard<std::mutex> lock(mutex_);
     --outstanding_;
     ++completed_;
+    if (result.status == RequestStatus::kFailed) ++failed_;
     if (swapped) ++model_swaps_;
-    RecordLatencyLocked(result.latency_nanos);
     NotifyIfDrainedLocked();
   }
   Resolve(state, std::move(result));
-}
-
-void PredictionService::RecordLatencyLocked(uint64_t latency_nanos) {
-  // Sliding window: bounded memory and a bounded Stats() sort, however
-  // long the service runs.
-  if (latencies_.size() < kLatencyWindow) {
-    latencies_.push_back(latency_nanos);
-  } else {
-    latencies_[latency_next_] = latency_nanos;
-    latency_next_ = (latency_next_ + 1) % kLatencyWindow;
-  }
 }
 
 void PredictionService::NotifyIfDrainedLocked() {
@@ -385,24 +343,16 @@ void PredictionService::Shutdown() {
 
 ServiceStats PredictionService::Stats() const {
   ServiceStats stats;
-  std::vector<uint64_t> latencies;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats.submitted = submitted_;
-    stats.rejected = rejected_;
-    stats.rejected_shutdown = rejected_shutdown_;
-    stats.deadline_exceeded = deadline_exceeded_;
-    stats.accepted = submitted_ - rejected_ - rejected_shutdown_;
-    stats.completed = completed_;
-    stats.outstanding = outstanding_;
-    stats.model_swaps = model_swaps_;
-    stats.cache_hits = cache_hits_;
-    stats.cache_misses = cache_misses_;
-    latencies = latencies_;
-  }
-  std::sort(latencies.begin(), latencies.end());
-  stats.latency_p50_nanos = Percentile(latencies, 50);
-  stats.latency_p99_nanos = Percentile(latencies, 99);
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats.submitted = submitted_;
+  stats.rejected = rejected_;
+  stats.rejected_shutdown = rejected_shutdown_;
+  stats.deadline_exceeded = deadline_exceeded_;
+  stats.accepted = submitted_ - rejected_ - rejected_shutdown_;
+  stats.completed = completed_;
+  stats.failed = failed_;
+  stats.outstanding = outstanding_;
+  stats.model_swaps = model_swaps_;
   return stats;
 }
 

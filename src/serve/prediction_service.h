@@ -48,8 +48,6 @@ struct PredictionResult {
   /// auditable: the response is byte-identical to a sequential
   /// SatoPredictor run on exactly this version.
   uint64_t model_version = 0;
-  /// Submit -> completion on the service clock (0 for rejected requests).
-  uint64_t latency_nanos = 0;
   /// True when the response was served from the content-addressed result
   /// cache (byte-identical to the cold prediction on model_version by the
   /// determinism guarantee -- the cache key covers table content, seed and
@@ -95,8 +93,8 @@ struct PredictionServiceOptions {
   /// admitted requests have not yet completed. Clamped to >= 1.
   size_t queue_capacity = 1024;
 
-  /// Time source for deadlines and latency stats. Borrowed; must outlive
-  /// the service. nullptr -> the service owns a SteadyClock (real time).
+  /// Time source for deadlines. Borrowed; must outlive the service.
+  /// nullptr -> the service owns a SteadyClock (real time).
   Clock* clock = nullptr;
 
   /// Optional content-addressed result cache in front of inference.
@@ -113,15 +111,18 @@ struct PredictionServiceOptions {
   FaultInjector* fault_injector = nullptr;
 };
 
-/// Snapshot of per-service counters (see PredictionService::Stats).
-/// Latency percentiles use the nearest-rank definition over a sliding
-/// window of the most recent PredictionService::kLatencyWindow completed
-/// requests (so a long-running service reports recent behaviour in O(1)
-/// memory); 0 when nothing completed yet.
+/// Snapshot of per-service counters (see PredictionService::Stats). The
+/// service is the one owner of request outcomes:
+///   submitted == completed + rejected + rejected_shutdown + outstanding,
+/// and the kOk answers number completed - failed - deadline_exceeded.
+/// Cache hits and misses are counted by the ResultCache, not here.
 struct ServiceStats {
   uint64_t submitted = 0;          ///< every Submit call
   uint64_t accepted = 0;           ///< admitted into the queue
-  uint64_t completed = 0;          ///< reached kOk or kFailed
+  /// Resolved by the service: kOk (cache hits included), kFailed or
+  /// kDeadlineExceeded.
+  uint64_t completed = 0;
+  uint64_t failed = 0;             ///< kFailed (the prediction threw)
   uint64_t rejected = 0;           ///< kRejected (admission queue full)
   uint64_t rejected_shutdown = 0;  ///< kShutdown (submitted after Shutdown)
   /// kDeadlineExceeded: admitted but shed because the caller's deadline
@@ -133,12 +134,6 @@ struct ServiceStats {
   /// earlier pin -- the number of hot swaps the dispatch path actually
   /// crossed (0 while one version serves the whole stream).
   uint64_t model_swaps = 0;
-  /// Result-cache outcomes (both 0 when no cache is configured). Hits
-  /// count as submitted+completed but never as outstanding.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t latency_p50_nanos = 0;
-  uint64_t latency_p99_nanos = 0;
 };
 
 /// Online serving frontend: callers Submit() single tables from any thread
@@ -231,15 +226,11 @@ class PredictionService {
   /// Submits resolve kShutdown.
   void Shutdown();
 
-  /// Consistent snapshot of the counters and latency percentiles.
+  /// Consistent snapshot of the counters.
   ServiceStats Stats() const;
 
   size_t num_threads() const { return pool_.num_threads(); }
   const PredictionServiceOptions& options() const { return options_; }
-
-  /// Latency samples kept for the percentile window: once more requests
-  /// than this have completed, the oldest samples are overwritten.
-  static constexpr size_t kLatencyWindow = 1 << 16;
 
   /// The registry this service serves from (never null); the server
   /// submits corrections against it.
@@ -248,8 +239,6 @@ class PredictionService {
  private:
   void ExecuteRequest(const std::shared_ptr<internal::RequestState>& state,
                       size_t worker);
-  /// Adds one sample to the latency window. Caller holds mutex_.
-  void RecordLatencyLocked(uint64_t latency_nanos);
   /// Wakes Shutdown once the last admitted request completes. Caller holds
   /// mutex_ and has just released an admission slot.
   void NotifyIfDrainedLocked();
@@ -276,15 +265,12 @@ class PredictionService {
   bool stop_ = false;
   uint64_t submitted_ = 0;
   uint64_t completed_ = 0;
+  uint64_t failed_ = 0;
   uint64_t rejected_ = 0;
   uint64_t rejected_shutdown_ = 0;
   uint64_t deadline_exceeded_ = 0;
   uint64_t outstanding_ = 0;
   uint64_t model_swaps_ = 0;
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
-  std::vector<uint64_t> latencies_;  // ring of the last kLatencyWindow samples
-  size_t latency_next_ = 0;          // ring cursor once the window is full
 
   std::mutex shutdown_mutex_;  // serialises concurrent Shutdown calls
 

@@ -79,7 +79,6 @@ bool ResultCache::Lookup(const CacheKey& key, std::vector<TypeId>* type_ids) {
   // A forced miss degrades to a recompute downstream; determinism makes
   // that byte-identical, so this point can only ever cost latency.
   if (MaybeInject(fault_injector_, FaultPoint::kCacheLookupMiss)) {
-    injected_lookup_misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   auto it = shard.index.find(key);
@@ -95,7 +94,6 @@ void ResultCache::Insert(const CacheKey& key, uint64_t model_version,
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (MaybeInject(fault_injector_, FaultPoint::kCacheInsertDrop)) {
-    injected_insert_drops_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   ++shard.insertions;
@@ -149,8 +147,6 @@ void ResultCache::Clear() {
 
 ResultCacheStats ResultCache::Stats() const {
   ResultCacheStats stats;
-  stats.shards = shards_.size();
-  stats.capacity_entries = capacity_entries_;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -163,14 +159,6 @@ ResultCacheStats ResultCache::Stats() const {
     stats.bytes += shard.bytes;
   }
   stats.misses = stats.lookups - stats.hits;
-  stats.injected_lookup_misses =
-      injected_lookup_misses_.load(std::memory_order_relaxed);
-  stats.injected_insert_drops =
-      injected_insert_drops_.load(std::memory_order_relaxed);
-  stats.hit_rate = stats.lookups == 0
-                       ? 0.0
-                       : static_cast<double>(stats.hits) /
-                             static_cast<double>(stats.lookups);
   return stats;
 }
 

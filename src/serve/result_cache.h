@@ -1,7 +1,6 @@
 #ifndef SATO_SERVE_RESULT_CACHE_H_
 #define SATO_SERVE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -76,11 +75,6 @@ struct ResultCacheStats {
   uint64_t version_purged = 0;   ///< entries dropped by PurgeVersionsOtherThan
   uint64_t entries = 0;          ///< currently resident
   uint64_t bytes = 0;            ///< resident payload footprint (approx.)
-  uint64_t injected_lookup_misses = 0;  ///< fault-forced misses (chaos runs)
-  uint64_t injected_insert_drops = 0;   ///< fault-dropped inserts (chaos runs)
-  size_t shards = 0;
-  size_t capacity_entries = 0;
-  double hit_rate = 0.0;         ///< hits / lookups, 0 before any lookup
 };
 
 /// Sharded LRU result cache in front of inference.
@@ -159,8 +153,6 @@ class ResultCache {
   size_t shard_mask_;
   std::vector<std::unique_ptr<Shard>> shards_;
   FaultInjector* fault_injector_ = nullptr;
-  std::atomic<uint64_t> injected_lookup_misses_{0};
-  std::atomic<uint64_t> injected_insert_drops_{0};
 };
 
 }  // namespace sato::serve

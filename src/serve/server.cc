@@ -32,9 +32,6 @@ ServerOptions Sanitize(ServerOptions options) {
   options.max_connections = std::max<size_t>(1, options.max_connections);
   options.max_tracked_tenants =
       std::max<size_t>(1, options.max_tracked_tenants);
-  if (options.max_payload_bytes == 0) {
-    options.max_payload_bytes = wire::kMaxPayloadBytes;
-  }
   return options;
 }
 
@@ -90,10 +87,6 @@ Server::~Server() { Shutdown(); }
 void Server::RequestDrain() {
   std::call_once(drain_once_, [this] {
     draining_.store(true, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      stats_.draining = true;
-    }
     // Stop the listener first so no connection can slip in between the
     // flag and the broadcast, then close the pipe's write end: every
     // poll() on the read end wakes with POLLHUP at once.
@@ -218,7 +211,7 @@ void Server::ServeConnection(Connection* connection) {
       wire::FrameHeader header;
       size_t frame_bytes = 0;
       wire::DecodeStatus status = wire::DecodeHeader(
-          view, options_.max_payload_bytes, &header, &frame_bytes);
+          view, wire::kMaxPayloadBytes, &header, &frame_bytes);
       if (status == wire::DecodeStatus::kNeedMore) break;
       if (status == wire::DecodeStatus::kFrame) {
         {
@@ -445,35 +438,25 @@ void Server::HandleFrame(int fd, const wire::FrameHeader& header,
       const PredictionResult& result = handle.Get();
       body.model_version = result.model_version;
       body.cache_hit = result.cache_hit;
+      // The service counts the outcome; the server only maps it.
       switch (result.status) {
-        case RequestStatus::kOk: {
+        case RequestStatus::kOk:
           body.status = wire::WireStatus::kOk;
           body.type_ids = result.type_ids;
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.predict_ok;
-          if (result.cache_hit) ++stats_.cache_hits;
           break;
-        }
-        case RequestStatus::kRejected: {
+        case RequestStatus::kRejected:
           body.status = wire::WireStatus::kRejected;
           body.message = "admission queue full";
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.predict_rejected;
           break;
-        }
-        case RequestStatus::kShutdown: {
+        case RequestStatus::kShutdown:
           body.status = wire::WireStatus::kShutdown;
           body.message = "service shutting down";
           break;
-        }
-        case RequestStatus::kDeadlineExceeded: {
+        case RequestStatus::kDeadlineExceeded:
           body.status = wire::WireStatus::kDeadlineExceeded;
           body.message = "deadline expired before dispatch";
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.predict_deadline_exceeded;
           break;
-        }
-        case RequestStatus::kFailed: {
+        case RequestStatus::kFailed:
           body.status = wire::WireStatus::kFailed;
           try {
             if (result.error) std::rethrow_exception(result.error);
@@ -482,10 +465,7 @@ void Server::HandleFrame(int fd, const wire::FrameHeader& header,
           } catch (...) {
             body.message = "prediction failed";
           }
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.predict_failed;
           break;
-        }
       }
       break;
     }

@@ -46,12 +46,8 @@ struct ServerOptions {
   /// tenant_request_quota. Clamped to >= 1.
   size_t max_tracked_tenants = 1024;
 
-  /// Bound on the untrusted payload-length field, connection-fatal when
-  /// exceeded. Defaults to wire::kMaxPayloadBytes.
-  uint32_t max_payload_bytes = wire::kMaxPayloadBytes;
-
-  /// Time source for the wire-latency counters. Borrowed; must outlive
-  /// the server. nullptr -> the server owns a SteadyClock.
+  /// Time source for injected receive stalls. Borrowed; must outlive the
+  /// server. nullptr -> the server owns a SteadyClock.
   Clock* clock = nullptr;
 
   /// Deterministic fault injection on the socket paths (kServerRecvShort,
@@ -60,7 +56,10 @@ struct ServerOptions {
   FaultInjector* fault_injector = nullptr;
 };
 
-/// Monotonic counters; Stats() returns a mutex-consistent snapshot.
+/// Monotonic counters of what happens before a request reaches the
+/// PredictionService; Stats() returns a mutex-consistent snapshot.
+/// Prediction outcomes are counted by the service (ServiceStats) and
+/// cache hits by the ResultCache, never here.
 struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_refused = 0;  ///< kBusy over max_connections
@@ -69,20 +68,13 @@ struct ServerStats {
   uint64_t responses_sent = 0;
   uint64_t malformed_frames = 0;     ///< bad magic/version/length/truncation
   uint64_t malformed_payloads = 0;   ///< bad payload inside a valid frame
-  uint64_t predict_ok = 0;
-  uint64_t predict_rejected = 0;     ///< service admission queue full
   uint64_t quota_rejected = 0;       ///< per-tenant quota exhausted
-  uint64_t predict_failed = 0;
-  /// Predicts shed because the wire deadline expired pre-dispatch.
-  uint64_t predict_deadline_exceeded = 0;
-  uint64_t cache_hits = 0;           ///< predict responses served from cache
-  uint64_t corrections = 0;
+  uint64_t corrections = 0;          ///< corrections answered kOk
   uint64_t pings = 0;
   /// Exceptions caught by the connection barrier: a request handler that
   /// throws fails its connection (typed kFailed frame, then close), never
   /// the process.
   uint64_t handler_exceptions = 0;
-  bool draining = false;
   /// Admitted predict requests per tenant id; bounded by
   /// ServerOptions::max_tracked_tenants.
   std::map<uint32_t, uint64_t> tenant_requests;

@@ -36,10 +36,10 @@
 ///                 never silence -- when that deadline passes before
 ///                 dispatch. Protocol version 2 added this field.
 ///
-/// The length field is UNTRUSTED input: decoders bound it (kMaxPayloadBytes
-/// by default, configurable per server) BEFORE allocating anything, so an
-/// adversarial or corrupted frame fails loudly with a typed error instead
-/// of a gigabyte allocation (the same bounded-length discipline as
+/// The length field is UNTRUSTED input: decoders bound it (the server
+/// passes kMaxPayloadBytes to DecodeHeader) BEFORE allocating anything, so
+/// an adversarial or corrupted frame fails loudly with a typed error
+/// instead of a gigabyte allocation (the same bounded-length discipline as
 /// LoadSatoBundle). Bad magic / bad version / oversized length are
 /// connection-fatal -- after header corruption there is no way to resync a
 /// byte stream. A malformed *payload* inside a well-formed frame is not:

@@ -150,7 +150,6 @@ TEST(ResultCacheTest, StatsAccounting) {
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.bytes, 0u);
-  EXPECT_DOUBLE_EQ(stats.hit_rate, 2.0 / 3.0);
 
   cache.Clear();
   stats = cache.Stats();
@@ -176,7 +175,6 @@ TEST(ResultCacheTest, ShardCountRoundsToPowerOfTwo) {
   options.num_shards = 3;
   ResultCache cache(options);
   EXPECT_EQ(cache.num_shards(), 4u);
-  EXPECT_EQ(cache.Stats().shards, 4u);
   EXPECT_EQ(cache.capacity_entries(), 10u);
 }
 
@@ -314,9 +312,9 @@ TEST_F(CacheParityTest, HitsAreByteIdenticalToColdAtEveryWorkerCount) {
     ASSERT_EQ(other.status, RequestStatus::kOk);
     EXPECT_FALSE(other.cache_hit);
 
-    auto stats = service.Stats();
-    EXPECT_EQ(stats.cache_hits, tables_->size());
-    EXPECT_EQ(stats.cache_misses, tables_->size() + 1);
+    const ResultCacheStats stats = cache.Stats();
+    EXPECT_EQ(stats.hits, tables_->size());
+    EXPECT_EQ(stats.misses, tables_->size() + 1);
     service.Shutdown();
   }
 }
@@ -412,10 +410,10 @@ TEST_F(CacheParityTest, FourProducersStayByteIdenticalAtEveryWorkerCount) {
     for (auto& producer : producers) producer.join();
     EXPECT_EQ(mismatches.load(), 0) << "workers=" << workers;
 
-    auto stats = service.Stats();
-    EXPECT_EQ(stats.cache_hits + stats.cache_misses,
+    const ResultCacheStats stats = cache.Stats();
+    EXPECT_EQ(stats.hits + stats.misses,
               static_cast<uint64_t>(kProducers) * kRequestsEach);
-    EXPECT_GT(stats.cache_hits, 0u);
+    EXPECT_GT(stats.hits, 0u);
     service.Shutdown();
   }
 }

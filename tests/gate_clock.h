@@ -13,16 +13,22 @@ namespace sato::testutil {
 /// FakeClock time plus a gate: the first NowNanos() call made from any
 /// thread other than the one that built the clock parks until Release().
 ///
-/// PredictionService reads its clock on the submitting thread (submit
-/// time) and on the worker (pickup deadline check, completion latency).
-/// So a test that builds the clock, then Submits one request without a
-/// deadline and calls AwaitHeld(), holds the service's worker inside that
-/// request. With num_threads = 1, every later request waits in the pool
-/// queue until Release() -- no sleeps, no timing assumptions. Later
-/// foreign calls (a server connection thread, the same worker after
-/// release) pass straight through.
+/// PredictionService reads its clock only for a request with a deadline
+/// budget: on the submitting thread (to make the budget absolute) and on
+/// the worker (the pickup deadline check). So a test that builds the
+/// clock, then Submits one request with budget kHoldBudgetNanos and calls
+/// AwaitHeld(), holds the service's worker at that request's pickup,
+/// before it pins a model version. With num_threads = 1, every later
+/// request waits in the pool queue until Release() -- no sleeps, no
+/// timing assumptions -- and the held request is then served, because
+/// its budget outlasts any fake-clock advance a test makes. Later foreign
+/// calls (a server connection thread, the same worker after release)
+/// pass straight through.
 class GateClock final : public serve::Clock {
  public:
+  /// Deadline budget for the holding request: one hour of fake time.
+  static constexpr uint64_t kHoldBudgetNanos = 3'600'000'000'000ull;
+
   uint64_t NowNanos() override {
     {
       std::unique_lock<std::mutex> lock(mutex_);

@@ -91,7 +91,6 @@ TEST_F(ModelRegistryTest, CurrentIsNullBeforeTheFirstPublish) {
   EXPECT_EQ(registry.PinVersion(1), nullptr);
   RegistryStats stats = registry.Stats();
   EXPECT_EQ(stats.published, 0u);
-  EXPECT_EQ(stats.current_version, 0u);
   EXPECT_TRUE(stats.versions.empty());
 }
 

@@ -4,7 +4,6 @@
 // for a fixed seed, at any worker count.
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -22,6 +21,7 @@
 #include "serve/fault_injector.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
+#include "serve/result_cache.h"
 #include "serve/thread_pool.h"
 #include "table/semantic_type.h"
 #include "util/rng.h"
@@ -263,27 +263,21 @@ TEST_F(PredictAllTest, ThrowsUnlessEveryTableIsServed) {
   registry.Publish(MakeModel(SatoVariant::kFull, 17), context_, *scaler_);
 
   {
-    // queue_capacity 1, and the only worker is held inside table 0 until
-    // table 1 has been turned away.
+    // queue_capacity 1, and the one slot is held by a blocker whose pickup
+    // parks the only worker, so the whole batch is turned away.
     testutil::GateClock clock;
     PredictionServiceOptions options;
     options.num_threads = 1;
     options.queue_capacity = 1;
     options.clock = &clock;
     PredictionService service(&registry, options);
-    std::thread releaser([&] {
-      clock.AwaitHeld();
-      const auto give_up =
-          std::chrono::steady_clock::now() + std::chrono::seconds(60);
-      while (service.Stats().rejected == 0 &&
-             std::chrono::steady_clock::now() < give_up) {
-        std::this_thread::yield();
-      }
-      clock.Release();
-    });
+    serve::PredictionHandle blocker = service.Submit(
+        (*tables_)[0], 1, testutil::GateClock::kHoldBudgetNanos);
+    clock.AwaitHeld();
     EXPECT_THROW(PredictAll(&service, *tables_, 5), std::runtime_error);
-    releaser.join();
-    EXPECT_GE(service.Stats().rejected, 1u);
+    clock.Release();
+    EXPECT_EQ(blocker.Get().status, serve::RequestStatus::kOk);
+    EXPECT_EQ(service.Stats().rejected, tables_->size());
   }
 
   {
@@ -300,6 +294,8 @@ TEST_F(PredictAllTest, ThrowsUnlessEveryTableIsServed) {
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "injected dispatch fault");  // rethrown as is
     }
+    service.Shutdown();
+    EXPECT_EQ(service.Stats().failed, tables_->size());
   }
 }
 
@@ -308,22 +304,36 @@ TEST_F(PredictAllTest, ThrowsUnlessEveryTableIsServed) {
 TEST_F(PredictAllTest, ThrowsWhenABatchStraddlesAPublish) {
   ModelRegistry registry;
   registry.Publish(MakeModel(SatoVariant::kFull, 17), context_, *scaler_);
+  serve::ResultCache cache;
   testutil::GateClock clock;
   PredictionServiceOptions options;
   options.num_threads = 1;
-  options.queue_capacity = tables_->size();
+  options.queue_capacity = tables_->size() + 1;
+  options.result_cache = &cache;
   options.clock = &clock;
   PredictionService service(&registry, options);
 
-  // The only worker pins version 1 for table 0 and is held there; every
-  // later table is picked up after version 2 is published.
+  // The batch's table 0 is answered from the cache on version 1. The only
+  // worker is held at a blocker's pickup, so every later table is picked
+  // up after version 2 is published.
+  ASSERT_GT((*tables_)[0].num_columns(), 0u);
+  ASSERT_EQ(service.Submit((*tables_)[0], util::TableSeed(5, 0))
+                .Get()
+                .model_version,
+            1u);
+  serve::PredictionHandle blocker = service.Submit(
+      (*tables_)[1], 1, testutil::GateClock::kHoldBudgetNanos);
+  clock.AwaitHeld();
   std::thread publisher([&] {
-    clock.AwaitHeld();
+    while (service.Stats().submitted < tables_->size() + 2) {
+      std::this_thread::yield();
+    }
     registry.Publish(MakeModel(SatoVariant::kFull, 18), context_, *scaler_);
     clock.Release();
   });
   EXPECT_THROW(PredictAll(&service, *tables_, 5), std::runtime_error);
   publisher.join();
+  EXPECT_EQ(blocker.Get().model_version, 2u);
 }
 
 // ------------------------------------------------ shared-model re-entrancy ----

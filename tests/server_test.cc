@@ -366,7 +366,7 @@ TEST_F(ServerTest, CacheHitTravelsTheWireByteIdentical) {
   EXPECT_TRUE(warm.body.cache_hit);
   EXPECT_EQ(warm.body.type_ids, cold.body.type_ids);
   EXPECT_EQ(warm.body.model_version, cold.body.model_version);
-  EXPECT_EQ(harness->server->Stats().cache_hits, 1u);
+  EXPECT_EQ(harness->cache->Stats().hits, 1u);
 }
 
 TEST_F(ServerTest, GarbageMagicAnswersTypedErrorAndCloses) {
@@ -643,7 +643,7 @@ TEST_F(ServerTest, DrainServesBufferedRequestsAndRefusesNewOnes) {
     EXPECT_FALSE(late.Ping().transport_ok);
   }
   harness->server->Shutdown();
-  EXPECT_TRUE(harness->server->Stats().draining);
+  EXPECT_TRUE(harness->server->draining());
 }
 
 TEST_F(ServerTest, DrainUnderLoadNeverTearsAResponse) {

@@ -202,8 +202,7 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
 // ------------------------------------------------- dispatch on Submit ----
 
 // A lone request completes on a FakeClock that is never advanced: nothing
-// on the request path waits on a timer. Its measured latency is exactly
-// zero on that clock, which pins the latency stats as well.
+// on the request path waits on a timer.
 TEST_F(PredictionServiceTest, LoneRequestCompletesWithoutTheClockMoving) {
   const auto model = MakeModel(23);
   ModelRegistry registry;
@@ -215,13 +214,8 @@ TEST_F(PredictionServiceTest, LoneRequestCompletesWithoutTheClockMoving) {
   const serve::PredictionResult& result = handle.Get();
   EXPECT_EQ(result.status, RequestStatus::kOk);
   EXPECT_EQ(result.type_ids, Sequential(model, (*tables_)[0], 5));
-  EXPECT_EQ(result.latency_nanos, 0u);
   EXPECT_EQ(clock.NowNanos(), 0u);
-
-  const serve::ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.latency_p50_nanos, 0u);
-  EXPECT_EQ(stats.latency_p99_nanos, 0u);
+  EXPECT_EQ(service.Stats().completed, 1u);
 }
 
 // After Shutdown() nothing waits on the clock: the fake clock has no
@@ -257,8 +251,8 @@ TEST_F(PredictionServiceTest, NoTimerFiresAfterShutdown) {
 
 // Filling the bounded admission queue rejects overflow immediately (never
 // a hang or a crash), and completing the queued requests frees admission
-// slots again. The single worker is held inside the first request, so the
-// other two wait in the pool queue.
+// slots again. The single worker is held at the first request's pickup,
+// so the other two wait in the pool queue.
 TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
   const auto model = MakeModel(31);
   ModelRegistry registry;
@@ -269,9 +263,9 @@ TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
   PredictionService service(&registry, options);
 
   std::vector<PredictionHandle> admitted;
-  admitted.push_back(
-      service.Submit((*tables_)[0], util::TableSeed(11, 0)));
-  clock.AwaitHeld();  // the worker is parked inside request 0
+  admitted.push_back(service.Submit((*tables_)[0], util::TableSeed(11, 0),
+                                    GateClock::kHoldBudgetNanos));
+  clock.AwaitHeld();  // the worker is parked at request 0's pickup
   for (size_t i = 1; i < 3; ++i) {
     admitted.push_back(service.Submit(
         (*tables_)[i], util::TableSeed(11, i)));
@@ -281,7 +275,6 @@ TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
   EXPECT_TRUE(overflow.Done());  // resolved at Submit, no hang
   EXPECT_EQ(overflow.Get().status, RequestStatus::kRejected);
   EXPECT_TRUE(overflow.Get().type_ids.empty());
-  EXPECT_EQ(overflow.Get().latency_nanos, 0u);
 
   serve::ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.rejected, 1u);
@@ -319,7 +312,8 @@ TEST_F(PredictionServiceTest, ShutdownWhileQueuedCompletesQueuedRequests) {
   std::vector<PredictionHandle> handles;
   for (size_t i = 0; i < kQueued; ++i) {
     handles.push_back(service.Submit(
-        (*tables_)[i], util::TableSeed(13, i)));
+        (*tables_)[i], util::TableSeed(13, i),
+        i == 0 ? GateClock::kHoldBudgetNanos : 0));
     if (i == 0) clock.AwaitHeld();  // the other five wait in the pool queue
   }
   std::thread shutdown([&service] { service.Shutdown(); });
@@ -636,7 +630,8 @@ TEST_F(PredictionServiceTest, CountersAddUpAcrossEveryOutcome) {
   PredictionService service(&registry, options);
 
   std::vector<PredictionHandle> handles;
-  handles.push_back(service.Submit((*tables_)[0], 1));
+  handles.push_back(
+      service.Submit((*tables_)[0], 1, GateClock::kHoldBudgetNanos));
   clock.AwaitHeld();
   handles.push_back(service.Submit((*tables_)[1], 2));
   handles.push_back(service.Submit((*tables_)[2], 3));  // over capacity
@@ -669,8 +664,9 @@ TEST_F(PredictionServiceTest, CountersAddUpAcrossEveryOutcome) {
   EXPECT_EQ(stats.completed, ok);
   EXPECT_EQ(stats.rejected, rejected);
   EXPECT_EQ(stats.rejected_shutdown, shutdown);
-  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.outstanding, 0u);
+  EXPECT_EQ(cache.Stats().hits, 1u);
 }
 
 // --------------------------------------------------------- small edges ----

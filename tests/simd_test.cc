@@ -28,19 +28,6 @@
 namespace sato::features {
 namespace {
 
-// Restores the process-wide featurization config on scope exit, so a
-// failing test cannot leak a pinned-scalar default into later suites.
-class ScopedFeatureConfig {
- public:
-  explicit ScopedFeatureConfig(const Config& config) : saved_(DefaultConfig()) {
-    SetDefaultConfig(config);
-  }
-  ~ScopedFeatureConfig() { SetDefaultConfig(saved_); }
-
- private:
-  Config saved_;
-};
-
 bool SimdAvailable() { return util::CpuHasAvx2(); }
 
 /// Bitwise vector comparison: the dispatch-parity contract is bit
@@ -200,20 +187,18 @@ Table AdversarialTable() {
   return table;
 }
 
-void BuildCacheWithDispatch(bool dispatch, const Table& table,
-                            embedding::TokenCache* cache) {
+Config DispatchConfig(bool dispatch) {
   Config config;
   config.enable_cpu_dispatch = dispatch;
-  ScopedFeatureConfig scoped(config);
-  cache->Build(table, nullptr, nullptr, nullptr);
+  return config;
 }
 
 TEST(SimdParityTest, TokenCacheBuildIsIdenticalWithDispatchOffAndOn) {
   if (!SimdAvailable()) GTEST_SKIP() << "host lacks AVX2";
   Table table = AdversarialTable();
   embedding::TokenCache scalar_cache, simd_cache;
-  BuildCacheWithDispatch(false, table, &scalar_cache);
-  BuildCacheWithDispatch(true, table, &simd_cache);
+  scalar_cache.Build(table, nullptr, nullptr, nullptr, DispatchConfig(false));
+  simd_cache.Build(table, nullptr, nullptr, nullptr, DispatchConfig(true));
 
   // Same tokens in the same order (dictionary indices are assigned by
   // first occurrence, so index streams can only match if the token
@@ -260,16 +245,14 @@ TEST(SimdParityTest, ExtractIntoIsBitwiseIdenticalWithDispatchOffAndOn) {
   StatFeatureExtractor stat_ex;
   for (const Table& table : tables) {
     for (bool simd : {false, true}) {
-      Config config;
-      config.enable_cpu_dispatch = simd;
-      ScopedFeatureConfig scoped(config);
-      ASSERT_EQ(SimdEnabled(), simd);
+      const Config config = DispatchConfig(simd);
+      ASSERT_EQ(SimdEnabled(config), simd);
       FeatureScratch scratch;
-      scratch.cache.Build(table, nullptr, nullptr, nullptr);
+      scratch.cache.Build(table, nullptr, nullptr, nullptr, config);
       for (size_t c = 0; c < scratch.cache.num_columns(); ++c) {
         std::vector<double> char_f, stat_f;
-        char_ex.ExtractInto(scratch.cache, c, &scratch, &char_f);
-        stat_ex.ExtractInto(scratch.cache, c, &scratch, &stat_f);
+        char_ex.ExtractInto(scratch.cache, c, &scratch, &char_f, config);
+        stat_ex.ExtractInto(scratch.cache, c, &scratch, &stat_f, config);
         // The scalar pass also matches the per-column reference
         // extractors, so transitively SIMD == scalar == reference.
         std::string tag = table.id() + " col " + std::to_string(c) +
