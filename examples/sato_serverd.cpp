@@ -225,7 +225,8 @@ uint64_t PredictionsOk(const serve::ServiceStats& stats) {
 // smoke path ("start daemon -> 3 framed requests incl. one malformed ->
 // assert responses + clean shutdown") in-process so it needs no harness.
 // Each count is read from the layer that owns it: frames from the server,
-// outcomes from the service, hits from the cache (null when disabled).
+// outcomes from the service, hits from the cache (null when disabled),
+// acked corrections from the registry.
 int RunSelfTest(serve::Server* server,
                 const serve::PredictionService* service,
                 const serve::ResultCache* cache,
@@ -304,7 +305,10 @@ int RunSelfTest(serve::Server* server,
   SELFTEST_CHECK(stats.pings == 1);
   SELFTEST_CHECK(predictions_ok == 3);
   SELFTEST_CHECK(cache_hits == 1);
-  SELFTEST_CHECK(stats.corrections == 1);
+  const serve::RegistryStats registry_stats = service->registry()->Stats();
+  SELFTEST_CHECK(registry_stats.corrections_submitted -
+                     registry_stats.corrections_wal_failed ==
+                 1);
   SELFTEST_CHECK(stats.malformed_frames == 1);
   SELFTEST_CHECK(server->draining());
 

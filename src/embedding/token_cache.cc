@@ -1,17 +1,9 @@
 #include "embedding/token_cache.h"
 
 #include <algorithm>
-#include <bit>
 #include <cctype>
 #include <cstring>
 
-#include "features/simd_load.h"
-
-#if defined(SATO_FEATURES_HAS_AVX2)
-#define SATO_TOKENIZE_HAS_AVX2 1
-#endif
-
-#include "features/config.h"
 #include "util/string_util.h"
 
 namespace sato::embedding {
@@ -22,13 +14,56 @@ namespace {
 // ("<num_1>" .. "<num_12>"; runs longer than 12 digits clamp to 12).
 constexpr size_t kMaxNumDigits = 12;
 
+/// 64x64 -> 128-bit multiply, folded to 64 bits: one multiply mixes every
+/// input bit into the low bits the probe sequences mask with.
+inline uint64_t MulFold(uint64_t a, uint64_t b) {
+  const unsigned __int128 r = static_cast<unsigned __int128>(a) * b;
+  return static_cast<uint64_t>(r) ^ static_cast<uint64_t>(r >> 64);
+}
+
+inline uint64_t Load64(const char* p) {
+  uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+inline uint64_t Load32(const char* p) {
+  uint32_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+/// Probe hash of the value interner and the token dictionary: 8 bytes per
+/// multiply-fold step, the last 1-8 bytes read by two overlapping 4-byte
+/// loads (or three single bytes under 4), never past the end of `s`. It
+/// only picks probe slots -- every hit is confirmed by comparing the text
+/// -- so no output depends on it; the OOV vector seed stays
+/// util::Fnv1aHash (see AddDictionaryEntry).
+uint64_t ProbeHash(std::string_view s) {
+  constexpr uint64_t kK0 = 0xa0761d6478bd642full;
+  constexpr uint64_t kK1 = 0xe7037ed1a0b428dbull;
+  constexpr uint64_t kK2 = 0x8ebc6af09c88c6e3ull;
+  const char* p = s.data();
+  size_t n = s.size();
+  uint64_t h = kK0 + n;
+  for (; n > 8; p += 8, n -= 8) h = MulFold(Load64(p) ^ kK1, h ^ kK2);
+  uint64_t tail = 0;
+  if (n >= 4) {
+    tail = (Load32(p) << 32) | Load32(p + n - 4);
+  } else if (n > 0) {
+    const auto* u = reinterpret_cast<const unsigned char*>(p);
+    tail = (uint64_t{u[0]} << 16) | (uint64_t{u[n / 2]} << 8) | u[n - 1];
+  }
+  return MulFold(tail ^ kK1, h ^ kK2);
+}
+
 struct NumTokens {
   std::string text[kMaxNumDigits];
   uint64_t hash[kMaxNumDigits];
   NumTokens() {
     for (size_t d = 0; d < kMaxNumDigits; ++d) {
       text[d] = "<num_" + std::to_string(d + 1) + ">";
-      hash[d] = util::Fnv1aHash(text[d]);
+      hash[d] = ProbeHash(text[d]);
     }
   }
 };
@@ -44,76 +79,21 @@ size_t NextPow2(size_t n) {
   return p;
 }
 
-#if defined(SATO_TOKENIZE_HAS_AVX2)
-/// AVX2 byte classifier for the tokenizer: builds one alnum bit and one
-/// digit bit per value byte, 32 bytes per iteration (range compares +
-/// movemask); the final partial block is one masked vector pass through
-/// the shared tail loader (corpus values are mostly shorter than one
-/// vector, so that block is the common case). Bytes >= 0x80 read negative
-/// in the signed compares and classify as non-alnum, exactly like the
-/// C-locale std::isalnum the scalar tokenizer uses. The caller must have
-/// zeroed `alnum`/`digit` ((n+63)/64 words each).
-__attribute__((target("avx2"))) void BuildAlnumMasksAvx2(
-    const unsigned char* p, size_t n, uint64_t* alnum, uint64_t* digit) {
-  const __m256i digit_lo = _mm256_set1_epi8('0' - 1);
-  const __m256i digit_hi = _mm256_set1_epi8('9' + 1);
-  const __m256i upper_lo = _mm256_set1_epi8('A' - 1);
-  const __m256i upper_hi = _mm256_set1_epi8('Z' + 1);
-  const __m256i lower_lo = _mm256_set1_epi8('a' - 1);
-  const __m256i lower_hi = _mm256_set1_epi8('z' + 1);
-  for (size_t i = 0; i < n; i += 32) {
-    const size_t rem = n - i;
-    const bool full = rem >= 32;
-    const uint32_t valid = full ? 0xffffffffu : ((1u << rem) - 1u);
-    __m256i v = full ? _mm256_loadu_si256(
-                           reinterpret_cast<const __m256i*>(p + i))
-                     : features::internal::LoadTailAvx2(p + i, rem);
-    __m256i is_digit = _mm256_and_si256(_mm256_cmpgt_epi8(v, digit_lo),
-                                        _mm256_cmpgt_epi8(digit_hi, v));
-    __m256i is_alpha = _mm256_or_si256(
-        _mm256_and_si256(_mm256_cmpgt_epi8(v, upper_lo),
-                         _mm256_cmpgt_epi8(upper_hi, v)),
-        _mm256_and_si256(_mm256_cmpgt_epi8(v, lower_lo),
-                         _mm256_cmpgt_epi8(lower_hi, v)));
-    uint64_t d =
-        static_cast<uint32_t>(_mm256_movemask_epi8(is_digit)) & valid;
-    uint64_t a = static_cast<uint32_t>(_mm256_movemask_epi8(
-                     _mm256_or_si256(is_digit, is_alpha))) &
-                 valid;
-    size_t word = i / 64, shift = i % 64;
-    digit[word] |= d << shift;
-    alnum[word] |= a << shift;
-  }
-}
-#endif  // SATO_TOKENIZE_HAS_AVX2
-
-/// First set-bit index >= `from` in an n-bit mask, or n.
-size_t NextSetBit(const uint64_t* mask, size_t from, size_t n) {
-  size_t word = from / 64;
-  uint64_t w = mask[word] & (~uint64_t{0} << (from % 64));
-  const size_t nwords = (n + 63) / 64;
-  while (w == 0) {
-    if (++word >= nwords) return n;
-    w = mask[word];
-  }
-  size_t bit = word * 64 + static_cast<size_t>(std::countr_zero(w));
-  return bit < n ? bit : n;
-}
-
-/// First clear-bit index >= `from` in an n-bit mask, or n.
-size_t NextClearBit(const uint64_t* mask, size_t from, size_t n) {
-  size_t word = from / 64;
-  uint64_t w = ~mask[word] & (~uint64_t{0} << (from % 64));
-  const size_t nwords = (n + 63) / 64;
-  while (w == 0) {
-    if (++word >= nwords) return n;
-    w = ~mask[word];
-  }
-  size_t bit = word * 64 + static_cast<size_t>(std::countr_zero(w));
-  return bit < n ? bit : n;
-}
-
 }  // namespace
+
+const std::array<TokenCache::ByteClass, 256>& TokenCache::ByteClasses() {
+  static const std::array<ByteClass, 256> table = [] {
+    std::array<ByteClass, 256> t{};
+    for (int c = 0; c < 256; ++c) {
+      ByteClass& b = t[static_cast<size_t>(c)];
+      b.flags = static_cast<uint8_t>((std::isalnum(c) ? kAlnum : 0) |
+                                     (std::isdigit(c) ? kDigit : 0));
+      b.lower = static_cast<char>(std::tolower(c));
+    }
+    return t;
+  }();
+  return table;
+}
 
 void TokenCache::SetContext(const WordEmbeddings* embeddings,
                             const TfIdf* tfidf, const Vocabulary* lda_vocab) {
@@ -152,10 +132,8 @@ void TokenCache::SetContext(const WordEmbeddings* embeddings,
   context_fingerprint_ = fingerprint;
 }
 
-void TokenCache::Reset(size_t value_bytes, size_t cell_count,
-                       const features::Config& config) {
-  arena_.clear();
-  if (value_bytes > arena_.capacity()) arena_.reserve(value_bytes);
+void TokenCache::Reset(size_t max_value_bytes, size_t cell_count) {
+  if (max_value_bytes > lower_buf_.size()) lower_buf_.resize(max_value_bytes);
   occurrences_.clear();
   cells_.clear();
   if (cell_count > cells_.capacity()) cells_.reserve(cell_count);
@@ -164,7 +142,6 @@ void TokenCache::Reset(size_t value_bytes, size_t cell_count,
   value_counts_.clear();
   value_first_cell_.clear();
   if (token_slots_.empty()) token_slots_.assign(1024, 0);
-  use_simd_ = features::SimdEnabled(config);
 }
 
 void TokenCache::FinishBuild(size_t capacity_before) {
@@ -172,17 +149,18 @@ void TokenCache::FinishBuild(size_t capacity_before) {
 }
 
 void TokenCache::Build(const Table& table, const WordEmbeddings* embeddings,
-                       const TfIdf* tfidf, const Vocabulary* lda_vocab,
-                       const features::Config& config) {
+                       const TfIdf* tfidf, const Vocabulary* lda_vocab) {
   size_t capacity_before = CapacityBytes();
   SetContext(embeddings, tfidf, lda_vocab);
 
-  size_t value_bytes = 0, cell_count = 0;
+  size_t max_value_bytes = 0, cell_count = 0;
   for (const Column& column : table.columns()) {
     cell_count += column.values.size();
-    for (const std::string& value : column.values) value_bytes += value.size();
+    for (const std::string& value : column.values) {
+      max_value_bytes = std::max(max_value_bytes, value.size());
+    }
   }
-  Reset(value_bytes, cell_count, config);
+  Reset(max_value_bytes, cell_count);
   columns_.reserve(table.num_columns());
   for (const Column& column : table.columns()) AddColumn(column);
   FinishBuild(capacity_before);
@@ -194,9 +172,11 @@ void TokenCache::BuildColumn(const Column& column,
   size_t capacity_before = CapacityBytes();
   SetContext(embeddings, tfidf, lda_vocab);
 
-  size_t value_bytes = 0;
-  for (const std::string& value : column.values) value_bytes += value.size();
-  Reset(value_bytes, column.values.size(), features::DefaultConfig());
+  size_t max_value_bytes = 0;
+  for (const std::string& value : column.values) {
+    max_value_bytes = std::max(max_value_bytes, value.size());
+  }
+  Reset(max_value_bytes, column.values.size());
   AddColumn(column);
   FinishBuild(capacity_before);
 }
@@ -231,7 +211,7 @@ void TokenCache::AddColumn(const Column& column) {
     // the value's bytes), so duplicates copy that span instead of paying
     // classification + lower-casing + hashing + dictionary probes again.
     bool duplicate = false;
-    uint64_t h = util::Fnv1aHash(value);
+    uint64_t h = ProbeHash(value);
     size_t pos = static_cast<size_t>(h) & vmask;
     for (;;) {
       uint64_t entry = value_slots_[pos];
@@ -279,98 +259,44 @@ void TokenCache::AddColumn(const Column& column) {
   columns_.push_back(span);
 }
 
-void TokenCache::EmitToken(std::string_view value, size_t start, size_t end,
-                           bool all_digits) {
+void TokenCache::EmitToken(std::string_view lowered, bool all_digits) {
   uint32_t index;
   if (all_digits) {
-    size_t digits = std::min(end - start, kMaxNumDigits);
+    size_t digits = std::min(lowered.size(), kMaxNumDigits);
     const NumTokens& nt = GetNumTokens();
     index = InternToken(nt.text[digits - 1], nt.hash[digits - 1]);
   } else {
-    // Lower-case into the arena (capacity was reserved up front, so the
-    // view stays put while we probe the dictionary with it).
-    size_t arena_start = arena_.size();
-    uint64_t h = util::kFnv1aOffset;
-    for (size_t j = start; j < end; ++j) {
-      char c = static_cast<char>(
-          std::tolower(static_cast<unsigned char>(value[j])));
-      arena_.push_back(c);
-      h = util::Fnv1aAppend(h, static_cast<unsigned char>(c));
-    }
-    std::string_view text(arena_.data() + arena_start, end - start);
-    index = InternToken(text, h);
+    index = InternToken(lowered, ProbeHash(lowered));
   }
   occurrences_.push_back(index);
 }
 
 void TokenCache::TokenizeInto(std::string_view value, uint32_t* occ_begin,
                               uint32_t* occ_end) {
-#if defined(SATO_TOKENIZE_HAS_AVX2)
-  // One vector's worth of bytes is the break-even point; short values go
-  // through the scalar loop either way.
-  if (use_simd_ && value.size() >= 32) {
-    TokenizeWithMasks(value, occ_begin, occ_end);
-    return;
-  }
-#endif
   *occ_begin = static_cast<uint32_t>(occurrences_.size());
+  const ByteClass* cls = ByteClasses().data();
+  const auto* p = reinterpret_cast<const unsigned char*>(value.data());
+  // Each run is lower-cased into the reused token buffer (sized to the
+  // longest value by Reset) while it is scanned; the dictionary copies the
+  // text only for a new entry.
+  char* lowered = lower_buf_.data();
   size_t i = 0;
   const size_t n = value.size();
   while (i < n) {
     // Skip to the next alnum run.
-    while (i < n && !std::isalnum(static_cast<unsigned char>(value[i]))) ++i;
+    while (i < n && (cls[p[i]].flags & kAlnum) == 0) ++i;
     size_t start = i;
-    bool all_digits = true;
-    while (i < n && std::isalnum(static_cast<unsigned char>(value[i]))) {
-      if (!std::isdigit(static_cast<unsigned char>(value[i]))) {
-        all_digits = false;
-      }
-      ++i;
+    // The run is all digits iff every byte's flags keep the digit bit.
+    uint8_t run = kDigit;
+    for (; i < n; ++i) {
+      const ByteClass b = cls[p[i]];
+      if ((b.flags & kAlnum) == 0) break;
+      run &= b.flags;
+      lowered[i - start] = b.lower;
     }
     if (i == start) break;
-    EmitToken(value, start, i, all_digits);
+    EmitToken(std::string_view(lowered, i - start), run != 0);
   }
-  *occ_end = static_cast<uint32_t>(occurrences_.size());
-}
-
-void TokenCache::TokenizeWithMasks(std::string_view value,
-                                   uint32_t* occ_begin, uint32_t* occ_end) {
-  *occ_begin = static_cast<uint32_t>(occurrences_.size());
-#if defined(SATO_TOKENIZE_HAS_AVX2)
-  const size_t n = value.size();
-  const size_t nwords = (n + 63) / 64;
-  if (mask_alnum_.size() < nwords) {
-    mask_alnum_.resize(nwords);
-    mask_digit_.resize(nwords);
-  }
-  std::memset(mask_alnum_.data(), 0, nwords * sizeof(uint64_t));
-  std::memset(mask_digit_.data(), 0, nwords * sizeof(uint64_t));
-  BuildAlnumMasksAvx2(reinterpret_cast<const unsigned char*>(value.data()), n,
-                      mask_alnum_.data(), mask_digit_.data());
-
-  // Walk the set-bit runs: each is one alnum token; it is all-digits iff
-  // every one of its digit bits is set. Token emission (lower-case + FNV
-  // or the <num_k> bucket) is the same code the scalar path runs, so the
-  // occurrence stream is bitwise identical.
-  size_t i = 0;
-  while (i < n) {
-    size_t start = NextSetBit(mask_alnum_.data(), i, n);
-    if (start >= n) break;
-    size_t end = NextClearBit(mask_alnum_.data(), start, n);
-    bool all_digits = true;
-    for (size_t w = start; w < end && all_digits;) {
-      size_t word = w / 64;
-      size_t upto = std::min(end, (word + 1) * 64);
-      uint64_t want = (~uint64_t{0} >> (64 - (upto - w))) << (w % 64);
-      all_digits = (mask_digit_[word] & want) == want;
-      w = upto;
-    }
-    EmitToken(value, start, end, all_digits);
-    i = end;
-  }
-#else
-  (void)value;
-#endif
   *occ_end = static_cast<uint32_t>(occurrences_.size());
 }
 
@@ -393,7 +319,8 @@ uint32_t TokenCache::InternToken(std::string_view text, uint64_t hash) {
 uint32_t TokenCache::AddDictionaryEntry(std::string_view text, uint64_t hash,
                                         size_t slot) {
   // New distinct token: resolve everything the extractors will ever ask
-  // about it, once per workload.
+  // about it, once per workload. `hash` is only the probe hash; the OOV
+  // vector is seeded from util::Fnv1aHash, like WordEmbeddings::Lookup.
   Token t;
   t.text = std::string(text);
   t.hash = hash;
@@ -411,7 +338,7 @@ uint32_t TokenCache::AddDictionaryEntry(std::string_view text, uint64_t hash,
                                         std::max<size_t>(1, dim_));
       oov_vectors_.resize(oov_vectors_.size() + dim_);
       embeddings_->OovVectorInto(
-          hash,
+          util::Fnv1aHash(text),
           oov_vectors_.data() + static_cast<size_t>(t.oov_slot) * dim_);
       t.row = oov_vectors_.data() + static_cast<size_t>(t.oov_slot) * dim_;
       if (oov_vectors_.data() != oov_data_) {
@@ -458,14 +385,13 @@ void TokenCache::CollectLdaIds(size_t max_tokens,
 }
 
 size_t TokenCache::CapacityBytes() const {
-  return arena_.capacity() * sizeof(char) +
+  return lower_buf_.capacity() * sizeof(char) +
          occurrences_.capacity() * sizeof(uint32_t) +
          cells_.capacity() * sizeof(Cell) +
          columns_.capacity() * sizeof(ColumnSpan) +
          value_views_.capacity() * sizeof(std::string_view) +
          value_counts_.capacity() * sizeof(double) +
          value_first_cell_.capacity() * sizeof(uint32_t) +
-         (mask_alnum_.capacity() + mask_digit_.capacity()) * sizeof(uint64_t) +
          dictionary_bytes_ + oov_vectors_.capacity() * sizeof(double) +
          token_slots_.capacity() * sizeof(uint64_t) +
          value_slots_.capacity() * sizeof(uint64_t);

@@ -1,6 +1,7 @@
 #ifndef SATO_EMBEDDING_TOKEN_CACHE_H_
 #define SATO_EMBEDDING_TOKEN_CACHE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -9,7 +10,6 @@
 #include "embedding/tfidf.h"
 #include "embedding/vocabulary.h"
 #include "embedding/word_embeddings.h"
-#include "features/config.h"
 #include "table/table.h"
 
 namespace sato::embedding {
@@ -32,7 +32,16 @@ namespace sato::embedding {
 ///    a pure function of that text, so cross-table reuse is exact.
 ///
 /// Tokenisation is byte-identical to TokenizeCell: lower-cased alnum runs,
-/// pure-digit runs mapped to "<num_k>" magnitude buckets.
+/// pure-digit runs mapped to "<num_k>" magnitude buckets. Bytes are
+/// classified and lower-cased through one 256-entry table (ByteClasses())
+/// built once from the C-locale std::isalnum/isdigit/tolower. Each token is
+/// lower-cased into one reused buffer sized to the table's longest value;
+/// the dictionary copies the text only when it adds a new entry.
+///
+/// Hashing: the per-column value interner and the dictionary probe use a
+/// word-at-a-time multiply-fold hash (8 bytes per step). It only picks
+/// probe slots, so no output depends on it. FNV-1a survives only as the
+/// seed of a new entry's OOV vector, where the embedding contract fixes it.
 ///
 /// The cache is scratch: a warm cache re-built over tables whose tokens
 /// are already in the dictionary performs no heap allocation (growth is
@@ -50,10 +59,23 @@ class TokenCache {
   /// per-column unique-value statistics, matching the reference Stat path).
   static constexpr uint32_t kNoValue = 0xffffffffu;
 
+  /// C-locale class of one byte, as the tokenizer reads it.
+  struct ByteClass {
+    uint8_t flags;  ///< kAlnum | kDigit bits
+    char lower;     ///< std::tolower of the byte
+  };
+  static constexpr uint8_t kAlnum = 1;
+  static constexpr uint8_t kDigit = 2;
+
+  /// The tokenizer's 256-entry byte table, built once from std::isalnum,
+  /// std::isdigit and std::tolower in the C locale.
+  static const std::array<ByteClass, 256>& ByteClasses();
+
   /// One dictionary entry: a distinct token with everything pre-resolved.
   struct Token {
     std::string text;
-    uint64_t hash;      ///< util::Fnv1aHash(text)
+    uint64_t hash;      ///< probe hash of text (not the OOV seed, which
+                        ///< is util::Fnv1aHash(text))
     const double* row;  ///< embedding row (shared matrix or OOV pool)
     TokenId embed_id;   ///< embedding-vocabulary id, -1 when OOV
     TokenId lda_id;     ///< LDA-vocabulary id, -1 when OOV
@@ -82,10 +104,8 @@ class TokenCache {
   /// null; `embeddings` may be null only if no word/para extraction will
   /// consume the cache. Changing any of the three pointers (or the
   /// embedding dimensionality) resets the persistent dictionary.
-  /// `config` selects the tokenizer's byte-classification kernel.
   void Build(const Table& table, const WordEmbeddings* embeddings,
-             const TfIdf* tfidf, const Vocabulary* lda_vocab,
-             const features::Config& config = features::DefaultConfig());
+             const TfIdf* tfidf, const Vocabulary* lda_vocab);
 
   /// Single-column convenience used by the per-column compatibility API.
   void BuildColumn(const Column& column, const WordEmbeddings* embeddings,
@@ -166,15 +186,11 @@ class TokenCache {
  private:
   void SetContext(const WordEmbeddings* embeddings, const TfIdf* tfidf,
                   const Vocabulary* lda_vocab);
-  void Reset(size_t value_bytes, size_t cell_count,
-             const features::Config& config);
+  void Reset(size_t max_value_bytes, size_t cell_count);
   void AddColumn(const Column& column);
   void TokenizeInto(std::string_view value, uint32_t* occ_begin,
                     uint32_t* occ_end);
-  void TokenizeWithMasks(std::string_view value, uint32_t* occ_begin,
-                         uint32_t* occ_end);
-  void EmitToken(std::string_view value, size_t start, size_t end,
-                 bool all_digits);
+  void EmitToken(std::string_view lowered, bool all_digits);
   uint32_t InternToken(std::string_view text, uint64_t hash);
   uint32_t AddDictionaryEntry(std::string_view text, uint64_t hash,
                               size_t slot);
@@ -188,9 +204,8 @@ class TokenCache {
   uint64_t context_fingerprint_ = 0;  ///< size-based ABA guard, see .cc
 
   // -- table-local state, rebuilt by every Build --
-  std::vector<char> arena_;  ///< lower-cased token bytes of this table;
-                             ///< never reallocates mid-build (reserved to
-                             ///< the value-byte sum)
+  std::vector<char> lower_buf_;  ///< the current token, lower-cased;
+                                 ///< sized to the longest value
   std::vector<uint32_t> occurrences_;
   std::vector<Cell> cells_;
   std::vector<ColumnSpan> columns_;
@@ -200,13 +215,6 @@ class TokenCache {
                                             ///< unique value; duplicates
                                             ///< copy its occurrence span
                                             ///< instead of re-tokenising
-
-  // SIMD tokenizer scratch: one alnum/digit bit per value byte, built 32
-  // bytes at a time; the run finder then walks set-bit spans. Sized to the
-  // longest value seen (in 64-bit words).
-  std::vector<uint64_t> mask_alnum_;
-  std::vector<uint64_t> mask_digit_;
-  bool use_simd_ = false;  ///< latched from the Build config
 
   // -- persistent state, keyed by token text --
   std::vector<Token> dictionary_;

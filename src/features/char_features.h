@@ -2,10 +2,10 @@
 #define SATO_FEATURES_CHAR_FEATURES_H_
 
 #include <array>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
-#include "features/config.h"
 #include "table/table.h"
 
 namespace sato::embedding {
@@ -38,14 +38,6 @@ class CharFeatureExtractor {
   /// replaces the reference path's per-character linear alphabet scan.
   static const std::array<int8_t, 256>& SlotLut();
 
-  /// Classification kernel: writes the alphabet slot (or -1) of every byte
-  /// of `value` into `out[0..value.size())`. With `use_simd` the AVX2
-  /// kernel runs (32 bytes/iteration, scalar tail); otherwise the scalar
-  /// LUT loop. The two are byte-exact for all 256 byte values -- exposed
-  /// so the parity suite can assert exactly that.
-  static void ClassifySlots(std::string_view value, bool use_simd,
-                            int8_t* out);
-
   /// Number of aggregate statistics per alphabet character.
   static constexpr size_t kStatsPerChar = 4;
 
@@ -53,11 +45,10 @@ class CharFeatureExtractor {
   size_t dim() const;
 
   /// Fast path: features of cache column `column` written into `*out`
-  /// (resized to dim()); allocation-free once `scratch` is warm. `config`
-  /// selects the scalar or AVX2 kernel.
+  /// (resized to dim()); allocation-free once `scratch` is warm. Each
+  /// distinct value's bytes go through SlotLut() into integer tallies.
   void ExtractInto(const embedding::TokenCache& cache, size_t column,
-                   FeatureScratch* scratch, std::vector<double>* out,
-                   const Config& config = DefaultConfig()) const;
+                   FeatureScratch* scratch, std::vector<double>* out) const;
 
   /// Reference implementation (parity baseline).
   std::vector<double> ReferenceExtract(const Column& column) const;

@@ -5,35 +5,37 @@
 
 namespace sato::features {
 
-/// Configuration for the featurization kernels, mirroring
-/// nn::gemm::Config's dispatch contract: the scalar kernels are the
-/// portable baseline every SIMD kernel is parity-tested against, and the
-/// escape hatch below pins them at runtime when bitwise cross-machine
-/// reproducibility (or a suspected kernel bug) matters more than speed.
+/// Configuration for the one featurization kernel with an AVX2 variant,
+/// the stat value scan, mirroring nn::gemm::Config's dispatch contract:
+/// the scalar kernel is the portable baseline the SIMD kernel is
+/// parity-tested against, and the escape hatch below pins it at runtime
+/// when bitwise cross-machine reproducibility (or a suspected kernel bug)
+/// matters more than speed. The tokenizer and the char kernel have one
+/// scalar path each: their AVX2 variants measured no faster than the
+/// 256-entry byte tables they now read.
 ///
-/// The SIMD featurization kernels are byte-exact with their scalar
-/// baselines (they classify bytes and accumulate integers -- there is no
+/// The SIMD stat scan is byte-exact with its scalar baseline (it
+/// classifies bytes and accumulates integers -- there is no
 /// floating-point regrouping), so flipping dispatch never changes a
 /// feature vector; the hatch exists for debugging and for CI's
-/// scalar-coverage pass, not for determinism. A caller that wants other
-/// kernels (the parity tests) passes its own Config explicitly; the
+/// scalar-coverage pass, not for determinism. A caller that wants the
+/// other kernel (the parity tests) passes its own Config explicitly; the
 /// process-wide DefaultConfig() never changes.
 struct Config {
-  /// Allow the AVX2 featurization kernels (char-slot classification, the
-  /// stat value scan, the tokenizer's byte classification) when the host
-  /// CPU supports them. When false -- or on hosts without AVX2 -- the
-  /// scalar kernels run. DefaultConfig() has it off when
-  /// SATO_DISABLE_CPU_DISPATCH=1 is set in the environment before first
-  /// use (the same hook gemm::DefaultConfig() honours).
+  /// Allow the AVX2 stat value scan when the host CPU supports it. When
+  /// false -- or on hosts without AVX2 -- the scalar kernel runs.
+  /// DefaultConfig() has it off when SATO_DISABLE_CPU_DISPATCH=1 is set
+  /// in the environment before first use (the same hook
+  /// gemm::DefaultConfig() honours).
   bool enable_cpu_dispatch = true;
 };
 
-/// Immutable process-wide configuration, the default of TokenCache::Build
-/// and the char/stat ExtractInto kernels. Constructed once, honouring
+/// Immutable process-wide configuration, the default of the stat
+/// ExtractInto kernel. Constructed once, honouring
 /// SATO_DISABLE_CPU_DISPATCH.
 const Config& DefaultConfig();
 
-/// True when the AVX2 featurization kernels will actually run under
+/// True when the AVX2 stat scan will actually run under
 /// `config` on this host.
 bool SimdEnabled(const Config& config);
 

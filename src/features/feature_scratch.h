@@ -35,15 +35,12 @@ struct FeatureScratch {
   std::vector<double> tf;
   std::vector<uint32_t> touched;
 
-  // Char kernel: per-alphabet-slot accumulators, per-value counts, and
-  // the classified-slot buffer the SIMD kernel writes (one int8 per byte
-  // of the longest value seen).
+  // Char kernel: per-alphabet-slot accumulators (the per-value tallies
+  // are integer counters on the kernel's stack).
   std::vector<double> char_sum;
   std::vector<double> char_sum_sq;
   std::vector<double> char_max;
   std::vector<double> char_present;
-  std::vector<double> char_counts;
-  std::vector<int8_t> slot_buf;
 
   // Stat kernel: per-column sequences fed to the util:: moment helpers,
   // the median work buffer, the entropy count copy, and the ParseNumeric
@@ -80,7 +77,7 @@ struct FeatureScratch {
     size_t own = (acc.capacity() + mean.capacity() + sum_sq.capacity() +
                   tf.capacity() + char_sum.capacity() +
                   char_sum_sq.capacity() + char_max.capacity() +
-                  char_present.capacity() + char_counts.capacity() +
+                  char_present.capacity() +
                   lengths.capacity() + numerics.capacity() +
                   word_counts.capacity() + median_buf.capacity() +
                   entropy_counts.capacity() + stat_numeric.capacity() +
@@ -88,7 +85,6 @@ struct FeatureScratch {
                   stat_alpha_frac.capacity()) *
                      sizeof(double) +
                  touched.capacity() * sizeof(uint32_t) +
-                 slot_buf.capacity() * sizeof(int8_t) +
                  stat_flags.capacity() * sizeof(uint8_t) +
                  numeric_buf.capacity() +
                  // Pool entries' inner capacities are deliberately not

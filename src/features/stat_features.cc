@@ -9,10 +9,17 @@
 #include <limits>
 #include <unordered_map>
 
-#include "features/simd_load.h"
-
-#if defined(SATO_FEATURES_HAS_AVX2)
+#if defined(__GNUC__) && defined(__x86_64__)
 #define SATO_STAT_HAS_AVX2 1
+#include <immintrin.h>
+#endif
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SATO_STAT_SANITIZED 1
+#endif
+#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SATO_STAT_SANITIZED 1
 #endif
 
 #include "embedding/token_cache.h"
@@ -186,7 +193,24 @@ const NumericNibbleTables& NibbleTables() {
   return tables;
 }
 
-using internal::LoadTailAvx2;
+/// Loads the (partial, `rem` in [1,31]) final 32-byte window at `p`.
+/// When the window stays inside the 4 KiB page the overread past the
+/// value's end is harmless and a plain unaligned load wins; a window
+/// crossing a page boundary (or any load under ASan/TSan, which trap
+/// heap overreads regardless of page layout) goes through a bounce
+/// buffer. Bytes at lanes >= rem are garbage either way -- the caller
+/// must mask them out of whatever it computes from the vector.
+__attribute__((target("avx2"))) inline __m256i LoadTailAvx2(
+    const unsigned char* p, size_t rem) {
+#if !defined(SATO_STAT_SANITIZED)
+  if ((reinterpret_cast<uintptr_t>(p) & 4095u) <= 4096u - 32u) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+#endif
+  alignas(32) unsigned char buf[32];
+  std::memcpy(buf, p, rem);
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(buf));
+}
 
 /// AVX2 scan kernel: one fused pass, 32 bytes per iteration, with the
 /// final partial block handled by a masked load instead of a scalar tail

@@ -386,8 +386,6 @@ void Server::HandleFrame(int fd, const wire::FrameHeader& header,
         break;
       }
       body.status = wire::WireStatus::kOk;
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.corrections;
       break;
     }
     case wire::Opcode::kPredict: {

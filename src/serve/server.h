@@ -58,8 +58,9 @@ struct ServerOptions {
 
 /// Monotonic counters of what happens before a request reaches the
 /// PredictionService; Stats() returns a mutex-consistent snapshot.
-/// Prediction outcomes are counted by the service (ServiceStats) and
-/// cache hits by the ResultCache, never here.
+/// Prediction outcomes are counted by the service (ServiceStats), cache
+/// hits by the ResultCache and acked corrections by the ModelRegistry
+/// (RegistryStats), never here.
 struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_refused = 0;  ///< kBusy over max_connections
@@ -69,7 +70,6 @@ struct ServerStats {
   uint64_t malformed_frames = 0;     ///< bad magic/version/length/truncation
   uint64_t malformed_payloads = 0;   ///< bad payload inside a valid frame
   uint64_t quota_rejected = 0;       ///< per-tenant quota exhausted
-  uint64_t corrections = 0;          ///< corrections answered kOk
   uint64_t pings = 0;
   /// Exceptions caught by the connection barrier: a request handler that
   /// throws fails its connection (typed kFailed frame, then close), never

@@ -3,13 +3,16 @@
 // zero-allocation steady-state guarantee, and the train-set feature scaler.
 
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "adversarial_values.h"
 #include "corpus/generator.h"
 #include "embedding/tfidf.h"
 #include "embedding/token_cache.h"
@@ -463,28 +466,33 @@ TEST_F(FastPathParityTest, PerColumnConvenienceMatchesReference) {
   }
 }
 
+// The adversarial table adds bytes >= 0x80, embedded NULs, digit runs
+// longer than 12, mixed case and values around 32 bytes. The tokenizer
+// has one scalar path; CI runs this suite again with
+// SATO_DISABLE_CPU_DISPATCH=1.
 TEST_F(FastPathParityTest, TokenCacheAgreesWithTokenizeCell) {
-  const Table& table = (*tables_)[1];
-  embedding::TokenCache cache;
-  cache.Build(table, embeddings_, tfidf_, nullptr);
-  size_t cell_index = 0;
-  for (const Column& column : table.columns()) {
-    for (const std::string& value : column.values) {
-      const auto& cell = cache.cell(cell_index++);
-      auto expected = embedding::TokenizeCell(value);
-      ASSERT_EQ(cell.occ_end - cell.occ_begin, expected.size()) << value;
-      for (size_t i = 0; i < expected.size(); ++i) {
-        uint32_t unique = cache.occurrences()[cell.occ_begin + i];
-        const auto& token = cache.token(unique);
-        EXPECT_EQ(token.text, expected[i]);
-        // Pre-resolved idf and embedding row agree with the string paths.
-        EXPECT_DOUBLE_EQ(token.idf, tfidf_->Idf(expected[i]));
-        std::vector<double> looked_up = embeddings_->Lookup(expected[i]);
-        const double* row = cache.EmbeddingRow(unique);
-        for (size_t j = 0; j < looked_up.size(); ++j) {
-          EXPECT_DOUBLE_EQ(row[j], looked_up[j]) << expected[i];
+  for (const Table& table : {(*tables_)[1], testdata::AdversarialTable()}) {
+    embedding::TokenCache cache;
+    cache.Build(table, embeddings_, tfidf_, nullptr);
+    size_t cell_index = 0;
+    for (const Column& column : table.columns()) {
+      for (const std::string& value : column.values) {
+        const auto& cell = cache.cell(cell_index++);
+        auto expected = embedding::TokenizeCell(value);
+        ASSERT_EQ(cell.occ_end - cell.occ_begin, expected.size()) << value;
+        for (size_t i = 0; i < expected.size(); ++i) {
+          uint32_t unique = cache.occurrences()[cell.occ_begin + i];
+          const auto& token = cache.token(unique);
+          EXPECT_EQ(token.text, expected[i]);
+          // Pre-resolved idf and embedding row agree with the string paths.
+          EXPECT_DOUBLE_EQ(token.idf, tfidf_->Idf(expected[i]));
+          std::vector<double> looked_up = embeddings_->Lookup(expected[i]);
+          const double* row = cache.EmbeddingRow(unique);
+          for (size_t j = 0; j < looked_up.size(); ++j) {
+            EXPECT_DOUBLE_EQ(row[j], looked_up[j]) << expected[i];
+          }
+          EXPECT_EQ(token.embed_id >= 0, embeddings_->Contains(expected[i]));
         }
-        EXPECT_EQ(token.embed_id >= 0, embeddings_->Contains(expected[i]));
       }
     }
   }
@@ -512,6 +520,115 @@ TEST_F(FastPathParityTest, SteadyStateExtractionAllocatesNothing) {
   EXPECT_EQ(allocs, 0u) << "warm featurization pass touched the heap";
   EXPECT_EQ(scratch.TotalGrowthEvents(), growth_before);
   EXPECT_EQ(scratch.CapacityBytes(), capacity_before);
+}
+
+// The per-worker token dictionary and OOV pool persist across tables, so
+// a worker's answer must not depend on what it served before: the same
+// table built fresh, after 50 other tables, and under a dictionary bound
+// that forces resets mid-stream yields bitwise-equal features and the
+// same token texts.
+class TokenDictionaryHistoryTest : public FastPathParityTest {
+ protected:
+  struct Result {
+    std::vector<ColumnFeatures> features;
+    std::vector<std::string> texts;  ///< token text per occurrence
+  };
+
+  static Result BuildAndExtract(FeatureScratch* scratch, const Table& table) {
+    Result r;
+    scratch->cache.Build(table, embeddings_, tfidf_, nullptr);
+    pipeline_->ExtractCached(scratch, &r.features);
+    for (uint32_t index : scratch->cache.occurrences()) {
+      r.texts.push_back(scratch->cache.token(index).text);
+    }
+    return r;
+  }
+
+  static void ExpectBitwiseEqual(const std::vector<double>& a,
+                                 const std::vector<double>& b,
+                                 const std::string& what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << what;
+  }
+
+  static void ExpectSame(const Result& a, const Result& b,
+                         const std::string& how) {
+    EXPECT_EQ(a.texts, b.texts) << how;
+    ASSERT_EQ(a.features.size(), b.features.size()) << how;
+    for (size_t c = 0; c < a.features.size(); ++c) {
+      const std::string tag = how + " column " + std::to_string(c);
+      ExpectBitwiseEqual(a.features[c].char_features,
+                         b.features[c].char_features, "char " + tag);
+      ExpectBitwiseEqual(a.features[c].word_features,
+                         b.features[c].word_features, "word " + tag);
+      ExpectBitwiseEqual(a.features[c].para_features,
+                         b.features[c].para_features, "para " + tag);
+      ExpectBitwiseEqual(a.features[c].stat_features,
+                         b.features[c].stat_features, "stat " + tag);
+    }
+  }
+
+  static std::vector<Table> OtherTables() {
+    corpus::CorpusOptions copts;
+    copts.num_tables = 50;
+    copts.seed = 92;
+    return corpus::CorpusGenerator(copts).Generate();
+  }
+};
+
+TEST_F(TokenDictionaryHistoryTest, FeaturesDoNotDependOnWhatTheScratchServed) {
+  const std::vector<Table> others = OtherTables();
+  for (const Table& table : {(*tables_)[1], testdata::AdversarialTable()}) {
+    FeatureScratch fresh;
+    const Result expected = BuildAndExtract(&fresh, table);
+    ASSERT_FALSE(expected.texts.empty());
+
+    FeatureScratch warm;
+    for (const Table& other : others) BuildAndExtract(&warm, other);
+    ExpectSame(expected, BuildAndExtract(&warm, table), "warm " + table.id());
+
+    // A bound a few tables' worth of tokens wide: Build drops the
+    // dictionary and the OOV pool whenever it is exceeded, and the pool
+    // regrows (reallocating, re-wiring rows) from empty each time.
+    FeatureScratch bounded;
+    bounded.cache.set_max_dictionary_bytes(48u << 10);
+    size_t resets = 0;
+    std::string first_token;
+    size_t last_size = 0;
+    for (const Table& other : others) {
+      BuildAndExtract(&bounded, other);
+      const embedding::TokenCache& cache = bounded.cache;
+      if (cache.dictionary_size() == 0) continue;
+      if (cache.dictionary_size() < last_size ||
+          (!first_token.empty() && cache.token(0).text != first_token)) {
+        ++resets;
+      }
+      last_size = cache.dictionary_size();
+      first_token = cache.token(0).text;
+    }
+    EXPECT_GE(resets, 2u) << "the bound never forced a dictionary reset";
+    ExpectSame(expected, BuildAndExtract(&bounded, table),
+               "bounded " + table.id());
+    // Once more, right after the table itself grew the dictionary.
+    ExpectSame(expected, BuildAndExtract(&bounded, table),
+               "bounded again " + table.id());
+  }
+}
+
+TEST(TokenizerByteClassTest, MatchesCLocaleForAllBytes) {
+  const auto& classes = embedding::TokenCache::ByteClasses();
+  for (int c = 0; c < 256; ++c) {
+    const auto& b = classes[static_cast<size_t>(c)];
+    EXPECT_EQ((b.flags & embedding::TokenCache::kAlnum) != 0,
+              std::isalnum(c) != 0)
+        << "byte " << c;
+    EXPECT_EQ((b.flags & embedding::TokenCache::kDigit) != 0,
+              std::isdigit(c) != 0)
+        << "byte " << c;
+    EXPECT_EQ(static_cast<unsigned char>(b.lower), std::tolower(c))
+        << "byte " << c;
+  }
 }
 
 TEST(ScalerTest, DimensionMismatchDetected) {

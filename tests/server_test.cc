@@ -699,7 +699,10 @@ TEST_F(ServerTest, CorrectionOpcodeLandsInTheRegistryLog) {
   EXPECT_EQ(corrections[0].column_name, "postal_code");
   EXPECT_EQ(corrections[0].corrected_type, 12);
   EXPECT_EQ(corrections[0].model_version, 1u);
-  EXPECT_EQ(harness->server->Stats().corrections, 1u);
+  const serve::RegistryStats registry_stats = harness->registry.Stats();
+  EXPECT_EQ(registry_stats.corrections_submitted -
+                registry_stats.corrections_wal_failed,
+            1u);
 }
 
 TEST_F(ServerTest, DestructorWhileClientsAreConnectedIsClean) {
